@@ -405,15 +405,6 @@ fn decode_any<T: ndfield::Scalar>(bytes: &[u8], threads: usize) -> Result<Field<
         Some(b"XEC1") => {
             fpsnr_transform::embedded_decompress(bytes).map_err(|e| e.to_string())
         }
-        Some(b"SLB1") => fpsnr_core::slab::decompress_slabs(
-            bytes,
-            if threads == 0 {
-                fpsnr_parallel::default_threads()
-            } else {
-                threads
-            },
-        )
-        .map_err(|e| e.to_string()),
         _ => Err("unrecognised container magic".to_string()),
     }
 }

@@ -81,8 +81,7 @@ use fpsnr_metrics::{Distortion, RateStats};
 use fpsnr_transform::{transform_compress, transform_decompress, TransformConfig};
 use ndfield::{Field, Scalar};
 use szlike::{
-    compress_with_detail, decompress, ErrorBound, KernelMode, LosslessBackend, PredictorKind,
-    SzConfig, SzError,
+    compress_with_detail, decompress, ErrorBound, LosslessBackend, PredictorKind, SzConfig, SzError,
 };
 
 /// Knobs forwarded to the underlying compressor.
@@ -107,9 +106,6 @@ pub struct FixedPsnrOptions {
     /// layout (all-zero = slab layout; forwarded to
     /// [`SzConfig::chunk_dims`]; mutually exclusive with `block_rows`).
     pub chunk_dims: [usize; 3],
-    /// Walk implementation for the SZ hot loop (forwarded to
-    /// [`SzConfig::kernel`]; container bytes are identical either way).
-    pub kernel: KernelMode,
     /// Predictor selection (forwarded to [`SzConfig::predictor`]).
     /// `Lorenzo1` (the default) keeps the legacy container versions;
     /// `Auto` enables the per-block cost-driven bake-off (v5 layout).
@@ -125,7 +121,6 @@ impl Default for FixedPsnrOptions {
             threads: 1,
             block_rows: 0,
             chunk_dims: [0; 3],
-            kernel: KernelMode::Fused,
             predictor: PredictorKind::Lorenzo1,
         }
     }
@@ -140,7 +135,6 @@ impl FixedPsnrOptions {
             .with_threads(self.threads)
             .with_block_rows(self.block_rows)
             .with_chunk_dims(self.chunk_dims)
-            .with_kernel(self.kernel)
             .with_predictor(self.predictor)
     }
 }

@@ -17,8 +17,8 @@
 //!    model's LZ-gain correction is refitted from the observation and the
 //!    curve re-inverted; any further pass uses a bounded secant on
 //!    `(ln eb, ln ratio)` kept inside the measured bracket. At most
-//!    [`FixedRatioOptions::max_passes`] compressions run in total
-//!    (default 3 = one model-driven pass + K = 2 refinements).
+//!    three compressions run in total (`MAX_PASSES`: one model-driven pass
+//!    and K = 2 refinements).
 //!
 //! Every pass records `fpsnr-obs` counters (`fratio.compress_passes`,
 //! per-pass predicted/achieved bits-per-value in milli-units, first-pass
@@ -27,7 +27,12 @@
 
 use ndfield::{Field, Scalar};
 use szlike::ratemodel::RateModel;
-use szlike::{compress, ErrorBound, KernelMode, LosslessBackend, PredictorKind, SzConfig, SzError};
+use szlike::{compress, ErrorBound, LosslessBackend, PredictorKind, SzConfig, SzError};
+
+/// Maximum *total* compression passes (the pilot walk is not one — it
+/// never entropy-codes): one model-driven pass plus at most two secant
+/// refinements.
+const MAX_PASSES: usize = 3;
 
 /// A fixed-ratio request plus the knobs forwarded to the compressor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,10 +42,6 @@ pub struct FixedRatioOptions {
     /// Relative tolerance band: the run stops as soon as the measured
     /// ratio is within `target · (1 ± tolerance)`. Default 0.1.
     pub tolerance: f64,
-    /// Maximum *total* compression passes (the pilot walk is not one —
-    /// it never entropy-codes). Default 3: one model-driven pass plus at
-    /// most two secant refinements.
-    pub max_passes: usize,
     /// Quantization-bin cap, as [`crate::fixed_psnr::FixedPsnrOptions`].
     pub quant_bins: usize,
     /// SZ 1.4 adaptive interval selection (default on, stock-SZ fidelity).
@@ -52,8 +53,6 @@ pub struct FixedRatioOptions {
     pub threads: usize,
     /// Rows per block for the blocked path (0 = auto).
     pub block_rows: usize,
-    /// Walk implementation for the SZ hot loop (bytes identical either way).
-    pub kernel: KernelMode,
     /// Predictor selection (forwarded to [`SzConfig::predictor`]); the
     /// pilot's rate model runs under the same predictor so its bits/value
     /// curve matches what the real passes compress with.
@@ -67,13 +66,11 @@ impl FixedRatioOptions {
         FixedRatioOptions {
             target_ratio,
             tolerance: 0.1,
-            max_passes: 3,
             quant_bins: 65536,
             auto_intervals: true,
             lossless: LosslessBackend::Lz,
             threads: 1,
             block_rows: 0,
-            kernel: KernelMode::Fused,
             predictor: PredictorKind::Lorenzo1,
         }
     }
@@ -85,7 +82,6 @@ impl FixedRatioOptions {
             .with_lossless(self.lossless)
             .with_threads(self.threads)
             .with_block_rows(self.block_rows)
-            .with_kernel(self.kernel)
             .with_predictor(self.predictor)
     }
 
@@ -101,11 +97,6 @@ impl FixedRatioOptions {
                 "ratio tolerance must be finite and positive, got {}",
                 self.tolerance
             )));
-        }
-        if self.max_passes == 0 {
-            return Err(SzError::BadBound(
-                "max_passes must be at least 1".to_string(),
-            ));
         }
         Ok(())
     }
@@ -242,7 +233,7 @@ pub fn compress_fixed_ratio<T: Scalar>(
     let mut first_pred = f64::NAN;
     let mut first_resid = f64::NAN;
     let mut passes = 0usize;
-    while passes < opts.max_passes {
+    while passes < MAX_PASSES {
         eb_abs = eb_abs.clamp(eb_lo_cap, eb_hi_cap);
         let predicted = model.predict_bits_per_value(eb_abs, gain);
         passes += 1;
@@ -281,7 +272,7 @@ pub fn compress_fixed_ratio<T: Scalar>(
             break;
         }
         pts.push((eb_abs.ln(), achieved.ln()));
-        if passes >= opts.max_passes {
+        if passes >= MAX_PASSES {
             break;
         }
         eb_abs = match innermost_bracket(&pts, ln_target) {
@@ -468,10 +459,6 @@ mod tests {
             FixedRatioOptions::new(0.5),
             FixedRatioOptions {
                 tolerance: 0.0,
-                ..FixedRatioOptions::new(8.0)
-            },
-            FixedRatioOptions {
-                max_passes: 0,
                 ..FixedRatioOptions::new(8.0)
             },
         ] {

@@ -28,9 +28,10 @@
 //!    the bound until PSNR lands), kept for the motivation experiment.
 //! 7. [`batch`] — parallel multi-field runner (the CESM "100+ fields"
 //!    scenario) and per-data-set aggregation.
-//! 8. [`slab`] — slab-parallel compression of one huge field (independent
-//!    SZ streams along axis 0 sharing one global bound), the within-field
-//!    parallel axis SZ's MPI deployments use.
+//! 8. Within-field parallelism for one huge field needs no module of its
+//!    own: [`FixedPsnrOptions::block_rows`] with [`FixedPsnrOptions::threads`]
+//!    writes szlike's blocked container, whose slabs along axis 0 share one
+//!    bound from the global value range (Eq. 8) and compress in parallel.
 //! 9. [`alloc`] — snapshot-level global bit allocation: one byte budget
 //!    across all fields, solved on per-field predicted rate curves
 //!    (max-min PSNR water-filling or weighted-MSE Lagrangian), with one
@@ -57,7 +58,6 @@ pub mod fixed_ratio;
 pub mod mode;
 pub mod report;
 pub mod search;
-pub mod slab;
 
 pub use alloc::{
     allocate_snapshot, AllocFieldRun, AllocObjective, AllocOptions, AnyField, SnapshotAllocation,

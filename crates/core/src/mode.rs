@@ -51,7 +51,9 @@ pub struct ModeReport {
 ///
 /// # Errors
 /// [`SzError`] from the pipeline; [`SzError::BadBound`] when a byte budget
-/// is unreachable even at the loosest sensible bound.
+/// is unreachable even at the loosest sensible bound;
+/// [`SzError::BadConfig`] when a fixed-ratio `base` sets `chunk_dims`,
+/// `escape` or `entropy`, which the fixed-ratio driver cannot carry.
 pub fn compress_with_mode<T: Scalar>(
     field: &Field<T>,
     mode: CompressionMode,
@@ -102,12 +104,21 @@ pub fn compress_with_mode<T: Scalar>(
             ))
         }
         CompressionMode::FixedRatio(target) => {
+            let defaults = SzConfig::new(base.bound);
+            if (base.chunk_dims, base.escape, base.entropy)
+                != (defaults.chunk_dims, defaults.escape, defaults.entropy)
+            {
+                return Err(SzError::BadConfig(
+                    "fixed-ratio mode does not support chunk_dims, escape or entropy".into(),
+                ));
+            }
             let opts = FixedRatioOptions {
                 quant_bins: base.quant_bins,
                 auto_intervals: base.auto_intervals,
                 lossless: base.lossless,
                 threads: base.threads,
                 block_rows: base.block_rows,
+                predictor: base.predictor,
                 ..FixedRatioOptions::new(target)
             };
             let run = compress_fixed_ratio(field, &opts)?;
@@ -181,7 +192,7 @@ fn byte_budget<T: Scalar>(
 mod tests {
     use super::*;
     use fpsnr_metrics::Distortion;
-    use szlike::decompress;
+    use szlike::{decompress, PredictorKind};
 
     fn field() -> Field<f32> {
         // The product term matters: a separable sum f(i)+g(j) is predicted
@@ -236,6 +247,39 @@ mod tests {
         assert!(report.invocations <= 3, "{} passes", report.invocations);
         let back: Field<f32> = decompress(&bytes).unwrap();
         assert_eq!(back.shape(), f.shape());
+    }
+
+    #[test]
+    fn fixed_ratio_mode_forwards_predictor_and_rejects_unsupported_knobs() {
+        let f = Field::from_fn_2d(128, 160, |i, j| {
+            let (x, y) = (i as f32 * 0.11, j as f32 * 0.13);
+            20.0 * (x.sin() + (y * 0.7).cos()) + 3.0 * ((x * 3.7).sin() * (y * 2.9).cos())
+        });
+        for kind in [
+            PredictorKind::Regression,
+            PredictorKind::Spline,
+            PredictorKind::Auto,
+        ] {
+            let base = SzConfig::new(ErrorBound::Abs(1.0))
+                .with_auto_intervals(true)
+                .with_predictor(kind);
+            let (bytes, _) =
+                compress_with_mode(&f, CompressionMode::FixedRatio(8.0), &base).unwrap();
+            let direct = FixedRatioOptions {
+                predictor: kind,
+                ..FixedRatioOptions::new(8.0)
+            };
+            let direct = compress_fixed_ratio(&f, &direct).unwrap().bytes;
+            assert!(
+                bytes == direct,
+                "{kind:?}: {} B through the mode, {} B direct",
+                bytes.len(),
+                direct.len()
+            );
+        }
+        let chunked = SzConfig::new(ErrorBound::Abs(1.0)).with_chunk_dims([32, 32, 0]);
+        let res = compress_with_mode(&f, CompressionMode::FixedRatio(8.0), &chunked);
+        assert!(matches!(res, Err(SzError::BadConfig(_))), "{res:?}");
     }
 
     #[test]

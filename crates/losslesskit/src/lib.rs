@@ -22,7 +22,6 @@
 //!   behaviour because the stage is lossless),
 //! - [`bakeoff`] — per-chunk lossless backend selection (stored / DEFLATE
 //!   / multi-stream Huffman / range) from measured chunk statistics,
-//! - [`rle`] — byte run-length coding used for sparse code planes,
 //! - [`range`]/[`fenwick`] — an adaptive range coder (fractional-bit
 //!   entropy stage) used by the entropy-coder ablation,
 //! - [`crc32`] — IEEE CRC-32 integrity trailers (bit rot in archived lossy
@@ -54,7 +53,6 @@ pub mod huffman;
 pub mod lz77;
 pub mod mshuf;
 pub mod range;
-pub mod rle;
 pub mod simd;
 pub mod varint;
 

@@ -369,7 +369,7 @@ pub(crate) fn compress_blocked<T: Scalar>(
     // where each block carries the model it actually replayed.
     let predict_span = fpsnr_obs::span("sz.predict");
     let bins = if cfg.auto_intervals {
-        choose_intervals(field, eb_abs, cfg.quant_bins, cfg.pred_threshold)
+        choose_intervals(field, eb_abs, cfg.quant_bins)
     } else {
         cfg.quant_bins
     };

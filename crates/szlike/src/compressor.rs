@@ -25,6 +25,7 @@ use crate::unpredictable;
 use losslesskit::bitio::{BitReader, BitWriter};
 use losslesskit::huffman::HuffmanCodec;
 use losslesskit::crc32::crc32;
+use losslesskit::lz77::Effort;
 use losslesskit::{bakeoff, deflate_like, freq, mshuf, range, varint};
 use ndfield::{io as fio, Field, Scalar, Shape};
 use std::borrow::Cow;
@@ -290,7 +291,7 @@ pub(crate) fn apply_lossless(body: Vec<u8>, cfg: &SzConfig) -> (u8, Vec<u8>) {
     match cfg.lossless {
         LosslessBackend::None => (0, body),
         LosslessBackend::Lz => {
-            let (baked, stats) = bakeoff::compress_with_stats(&body, cfg.effort);
+            let (baked, stats) = bakeoff::compress_with_stats(&body, Effort::Default);
             if fpsnr_obs::is_enabled() {
                 for (i, backend) in bakeoff::Backend::ALL.iter().enumerate() {
                     if stats.chunks[i] > 0 {
@@ -327,17 +328,16 @@ pub(crate) fn undo_lossless_bounded(
     }
 }
 
+/// Share of sampled prediction errors the chosen bin grid must cover (SZ's
+/// `predThreshold`; 0.97, the value SZ's shipped `sz.config` uses).
+const PRED_THRESHOLD: f64 = 0.97;
+
 /// SZ 1.4's `optimize_intervals`: sample prediction errors (predicting from
 /// *original* neighbours — cheap, and accurate enough for selection) and
 /// pick the smallest power-of-two bin count whose grid covers at least
-/// `threshold` of them. Points the chosen grid cannot represent become
-/// bit-exact escapes during the real pass.
-pub(crate) fn choose_intervals<T: Scalar>(
-    field: &Field<T>,
-    eb: f64,
-    cap: usize,
-    threshold: f64,
-) -> usize {
+/// [`PRED_THRESHOLD`] of them. Points the chosen grid cannot represent
+/// become bit-exact escapes during the real pass.
+pub(crate) fn choose_intervals<T: Scalar>(field: &Field<T>, eb: f64, cap: usize) -> usize {
     const TARGET_SAMPLES: usize = 65_536;
     let n = field.len();
     let data = field.as_slice();
@@ -386,7 +386,7 @@ pub(crate) fn choose_intervals<T: Scalar>(
         lin += stride;
     }
     qmags.sort_unstable();
-    let need = ((qmags.len() as f64) * threshold).ceil() as usize;
+    let need = ((qmags.len() as f64) * PRED_THRESHOLD).ceil() as usize;
     let mut bins = 32usize;
     while bins < cap {
         let radius = (bins / 2 - 1) as u64;
@@ -539,7 +539,7 @@ fn compress_quantized<T: Scalar>(
     // sizing and predictor choice, both sampling the original data.
     let predict_span = fpsnr_obs::span("sz.predict");
     let bins = if cfg.auto_intervals {
-        choose_intervals(field, eb_abs, cfg.quant_bins, cfg.pred_threshold)
+        choose_intervals(field, eb_abs, cfg.quant_bins)
     } else {
         cfg.quant_bins
     };

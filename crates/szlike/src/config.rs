@@ -2,7 +2,6 @@
 
 use crate::error::SzError;
 use crate::predictor::PredictorKind;
-pub use losslesskit::lz77::Effort;
 
 /// Pointwise error-control mode (SZ §II-B of the paper).
 ///
@@ -116,18 +115,16 @@ pub struct SzConfig {
     /// an even value ≥ 4.
     pub quant_bins: usize,
     /// SZ 1.4's adaptive interval selection: sample the prediction errors
-    /// and pick the smallest power-of-two bin count covering at least
-    /// [`SzConfig::pred_threshold`] of them (points outside become
-    /// bit-exact escapes). Smaller alphabets entropy-code better, and the
+    /// and pick the smallest power-of-two bin count covering at least 97%
+    /// of them (SZ's `predThreshold`; points outside become bit-exact
+    /// escapes). Smaller alphabets entropy-code better, and the
     /// ~1% of near-exact escapes is part of why real SZ lands slightly
     /// *above* the Eq. 7 PSNR estimate.
     pub auto_intervals: bool,
-    /// Coverage target for the interval selection (SZ's `predThreshold`;
-    /// 0.97, the value SZ's shipped `sz.config` uses).
-    pub pred_threshold: f64,
     /// Prediction stencil (SZ 1.4 default: first-order Lorenzo). `Auto`
-    /// samples both stencils per field and keeps the better one, echoing
-    /// early SZ's best-fit predictor selection.
+    /// scores four candidates (first- and second-order Lorenzo, regression,
+    /// spline) by walking a leading slab of each field or block, and keeps
+    /// the cheapest, echoing early SZ's best-fit predictor selection.
     pub predictor: PredictorKind,
     /// Entropy coder for the quantization codes.
     pub entropy: EntropyCoder,
@@ -135,8 +132,6 @@ pub struct SzConfig {
     pub escape: EscapeCoding,
     /// Lossless backend for stage 3.
     pub lossless: LosslessBackend,
-    /// LZ77 match effort for the lossless stage.
-    pub effort: Effort,
     /// Worker threads for the block-parallel path (0 = auto-detect, 1 =
     /// monolithic single pass). The container bytes never depend on this —
     /// only on [`SzConfig::block_rows`] — so any thread count decodes any
@@ -168,12 +163,10 @@ impl SzConfig {
             bound,
             quant_bins: 65536,
             auto_intervals: false,
-            pred_threshold: 0.97,
             predictor: PredictorKind::Lorenzo1,
             entropy: EntropyCoder::Huffman,
             escape: EscapeCoding::Exact,
             lossless: LosslessBackend::Lz,
-            effort: Effort::Default,
             threads: 1,
             block_rows: 0,
             chunk_dims: [0; 3],
@@ -259,12 +252,6 @@ impl SzConfig {
             return Err(SzError::BadConfig(format!(
                 "quant_bins {} exceeds the 2^24 code-space cap",
                 self.quant_bins
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.pred_threshold) || !self.pred_threshold.is_finite() {
-            return Err(SzError::BadConfig(format!(
-                "pred_threshold must be in [0, 1], got {}",
-                self.pred_threshold
             )));
         }
         if self.threads > 4096 {

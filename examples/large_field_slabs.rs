@@ -1,6 +1,7 @@
 //! Slab-parallel compression of one large field: within-field parallelism
-//! for NYX-scale volumes, with the fixed-PSNR guarantee intact because all
-//! slabs share one bound derived from the global value range.
+//! for NYX-scale volumes through the blocked container, with the
+//! fixed-PSNR guarantee intact because all slabs share one bound derived
+//! from the global value range.
 //!
 //! ```text
 //! cargo run --release --example large_field_slabs
@@ -26,13 +27,20 @@ fn main() {
         .expect("serial compress");
     let serial_s = t0.elapsed().as_secs_f64();
 
-    // Slab-parallel: one stream per slab, compressed concurrently.
+    // Slab-parallel: one block of `rows / slabs` slices per slab in the
+    // blocked container, walked concurrently.
+    let rows = field.shape().dims()[0];
     for slabs in [2usize, 4, 8] {
+        let opts = FixedPsnrOptions {
+            block_rows: rows.div_ceil(slabs),
+            threads,
+            ..FixedPsnrOptions::default()
+        };
         let t0 = Instant::now();
-        let bytes = compress_slabs_fixed_psnr(&field, target, slabs, threads)
-            .expect("slab compress");
+        let bytes = compress_fixed_psnr_only(&field, target, &opts).expect("slab compress");
         let secs = t0.elapsed().as_secs_f64();
-        let back: Field<f32> = decompress_slabs(&bytes, threads).expect("slab decompress");
+        let back: Field<f32> =
+            fixed_psnr::sz::decompress_with_threads(&bytes, threads).expect("slab decompress");
         let psnr = Distortion::between(&field, &back).psnr();
         println!(
             "  {slabs} slabs: {:>8} B (ratio {:>5.1}), {:>6.3}s ({:>4.1}x vs serial), \

@@ -71,7 +71,6 @@ pub mod prelude {
     };
     pub use fpsnr_core::fixed_ratio::{compress_fixed_ratio, FixedRatioOptions, FixedRatioRun};
     pub use fpsnr_core::mode::{compress_with_mode, CompressionMode, ModeReport};
-    pub use fpsnr_core::slab::{compress_slabs, compress_slabs_fixed_psnr, decompress_slabs};
     pub use fpsnr_core::{ebabs_for_psnr, ebrel_for_psnr, psnr_for_ebrel};
     pub use fpsnr_metrics::summary::{AllocFieldStat, FieldFailure, FieldOutcome, SnapshotSummary};
     pub use fpsnr_metrics::{Distortion, PointwiseError, RateStats};

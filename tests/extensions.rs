@@ -1,7 +1,7 @@
-//! Integration tests for the extension features: slab-parallel streams,
-//! embedded (fixed-rate/precision) coding, entropy/escape/predictor
-//! variants, and the SSIM metric — all driven through the public umbrella
-//! API on the synthetic data sets.
+//! Integration tests for the extension features: slab-parallel blocked
+//! containers, embedded (fixed-rate/precision) coding, entropy/escape/
+//! predictor variants, and the SSIM metric — all driven through the public
+//! umbrella API on the synthetic data sets.
 
 use fixed_psnr::data::{generate, DatasetId, Resolution};
 use fixed_psnr::metrics::ssim::ssim_2d;
@@ -23,10 +23,17 @@ fn slab_fixed_psnr_on_hurricane_volume() {
         .into_iter()
         .find(|nf| nf.name == "P")
         .unwrap();
-    let bytes = compress_slabs_fixed_psnr(&nf.data, 70.0, 5, 4).expect("compress");
-    let back: Field<f32> = decompress_slabs(&bytes, 4).expect("decompress");
+    let opts = FixedPsnrOptions {
+        block_rows: nf.data.shape().dims()[0].div_ceil(5),
+        threads: 4,
+        ..FixedPsnrOptions::default()
+    };
+    let bytes = compress_fixed_psnr_only(&nf.data, 70.0, &opts).expect("compress");
+    let back: Field<f32> = sz::decompress_with_threads(&bytes, 4).expect("decompress");
     let psnr = Distortion::between(&nf.data, &back).psnr();
     assert!((psnr - 70.0).abs() < 5.0, "achieved {psnr}");
+    let store = sz::SzStore::<f32>::open(&bytes).expect("open store");
+    assert_eq!(store.grid().n_blocks(), 5);
 }
 
 #[test]
