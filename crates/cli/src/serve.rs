@@ -10,8 +10,11 @@
 //! ## Wire protocol (length-prefixed frames)
 //!
 //! Every message — request or response — is one frame: a `u32` little-endian
-//! payload length (capped at 1 GiB) followed by the payload. Requests start
-//! with an op byte:
+//! payload length followed by the payload. Responses are capped at 1 GiB,
+//! requests at 64 bytes (the largest legal one, a rank-3 READ, is 62); a
+//! longer request prefix gets an error response and the connection
+//! closes before any payload buffer is allocated. Requests start with an
+//! op byte:
 //!
 //! | op | name     | request payload after the op byte                    |
 //! |----|----------|------------------------------------------------------|
@@ -42,9 +45,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use szlike::{Region, StoreOptions, StoreStats, SzStore};
 
-/// Frame length cap — a region read of a whole 1-GiB field is the largest
-/// legitimate response; anything bigger is a protocol error.
+/// Response frame cap — a region read of a whole 1-GiB field is the
+/// largest legitimate response; anything bigger is a protocol error.
+#[cfg(test)]
 const MAX_FRAME: usize = 1 << 30;
+
+/// Request frame cap. The largest request is a rank-3 READ: op, rank and
+/// six 10-byte varints, 62 bytes. The length prefix comes from an
+/// untrusted client, so the server checks it against this cap before
+/// allocating the payload buffer.
+const MAX_REQUEST: usize = 64;
 
 /// Request op bytes.
 pub const OP_READ: u8 = 1;
@@ -183,9 +193,10 @@ impl ServeReport {
     }
 }
 
-/// Read one length-prefixed frame (`None` on clean EOF at a frame
-/// boundary).
-fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
+/// Read one length-prefixed frame of at most `cap` payload bytes (`None`
+/// on clean EOF at a frame boundary). A longer prefix is an error, raised
+/// before the payload buffer is allocated.
+fn read_frame(stream: &mut TcpStream, cap: usize) -> Result<Option<Vec<u8>>, String> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -193,8 +204,8 @@ fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
         Err(e) => return Err(format!("reading frame length: {e}")),
     }
     let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(format!("frame of {len} bytes exceeds the 1 GiB cap"));
+    if len > cap {
+        return Err(format!("frame of {len} bytes exceeds the {cap}-byte cap"));
     }
     let mut payload = vec![0u8; len];
     stream
@@ -284,14 +295,24 @@ fn parse_read(payload: &[u8]) -> Result<Region, String> {
     Region::new(&axes).map_err(|e| e.to_string())
 }
 
-/// Answer requests on one connection until EOF or SHUTDOWN.
+/// Answer requests on one connection until EOF or SHUTDOWN. A request
+/// frame that cannot be read (over [`MAX_REQUEST`], or cut short) gets a
+/// best-effort error response and ends the connection.
 fn handle_connection(
     mut stream: TcpStream,
     store: &AnyStore,
     shutdown: &AtomicBool,
     latencies: &Mutex<Vec<u64>>,
 ) -> Result<(), String> {
-    while let Some(frame) = read_frame(&mut stream)? {
+    loop {
+        let frame = match read_frame(&mut stream, MAX_REQUEST) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok(()),
+            Err(msg) => {
+                let _ = write_response(&mut stream, 1, msg.as_bytes());
+                return Err(msg);
+            }
+        };
         let Some((&op, payload)) = frame.split_first() else {
             write_response(&mut stream, 1, b"empty request frame")?;
             continue;
@@ -321,7 +342,6 @@ fn handle_connection(
             }
         }
     }
-    Ok(())
 }
 
 /// Run the accept loop until a SHUTDOWN request lands, then drain the
@@ -405,7 +425,7 @@ pub fn client_read(stream: &mut TcpStream, axes: &[Range<usize>]) -> Result<Regi
         varint::write_u64(&mut req, r.end as u64);
     }
     write_frame(stream, &req)?;
-    let reply = read_frame(stream)?.ok_or("server closed the connection")?;
+    let reply = read_frame(stream, MAX_FRAME)?.ok_or("server closed the connection")?;
     let (status, body) = reply.split_first().ok_or("empty reply frame")?;
     if *status != 0 {
         return Err(format!("server error: {}", String::from_utf8_lossy(body)));
@@ -438,7 +458,7 @@ pub fn client_read(stream: &mut TcpStream, axes: &[Range<usize>]) -> Result<Regi
 #[cfg(test)]
 pub fn client_stats(stream: &mut TcpStream) -> Result<String, String> {
     write_frame(stream, &[OP_STATS])?;
-    let reply = read_frame(stream)?.ok_or("server closed the connection")?;
+    let reply = read_frame(stream, MAX_FRAME)?.ok_or("server closed the connection")?;
     let (status, body) = reply.split_first().ok_or("empty reply frame")?;
     if *status != 0 {
         return Err(format!("server error: {}", String::from_utf8_lossy(body)));
@@ -453,7 +473,7 @@ pub fn client_stats(stream: &mut TcpStream) -> Result<String, String> {
 #[cfg(test)]
 pub fn client_shutdown(stream: &mut TcpStream) -> Result<(), String> {
     write_frame(stream, &[OP_SHUTDOWN])?;
-    read_frame(stream)?;
+    read_frame(stream, MAX_FRAME)?;
     Ok(())
 }
 
@@ -543,12 +563,34 @@ mod tests {
         assert!(err.contains("server error"), "{err}");
         // Unknown op.
         write_frame(&mut stream, &[99]).unwrap();
-        let reply = read_frame(&mut stream).unwrap().unwrap();
+        let reply = read_frame(&mut stream, MAX_FRAME).unwrap().unwrap();
         assert_eq!(reply[0], 1);
         // The connection still works afterwards.
         let ok = client_read(&mut stream, &[0..4, 0..4, 0..4]).unwrap();
         assert_eq!(ok.dims, vec![4, 4, 4]);
         client_shutdown(&mut stream).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn oversized_request_prefix_is_refused_at_once() {
+        let (_, bytes) = grid_bytes(16, 8);
+        let (addr, handle) = spawn_server(bytes);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        // A 1 GiB length prefix and no payload: the server must refuse it
+        // straight away, not allocate the buffer and wait for the bytes.
+        stream.write_all(&(1u32 << 30).to_le_bytes()).unwrap();
+        match read_frame(&mut stream, MAX_FRAME) {
+            Ok(Some(reply)) => {
+                assert_eq!(reply[0], 1, "want an error status");
+                assert!(matches!(read_frame(&mut stream, MAX_FRAME), Ok(None)));
+            }
+            Ok(None) => {}
+            Err(e) => panic!("no error reply or EOF within 2 s: {e}"),
+        }
+        let mut ctl = TcpStream::connect(addr).unwrap();
+        client_shutdown(&mut ctl).unwrap();
         handle.join().unwrap();
     }
 

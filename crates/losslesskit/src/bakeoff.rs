@@ -69,9 +69,6 @@ pub const CHUNK_SIZE: usize = 256 * 1024;
 /// Hard cap on the wire `chunk_size` field.
 pub const MAX_CHUNK_SIZE: usize = 1 << 30;
 
-/// Streams used by the Huffman backend's interleaved blob.
-const HUFF_STREAMS: usize = 4;
-
 /// Bytes of the chunk head fed to the LZ match probe.
 const PROBE_LEN: usize = 16 * 1024;
 
@@ -191,7 +188,7 @@ fn encode_chunk_as(chunk: &[u8], backend: Backend, effort: Effort) -> Vec<u8> {
             let symbols: Vec<u32> = chunk.iter().map(|&b| b as u32).collect();
             let mut out = Vec::with_capacity(chunk.len() / 2 + 64);
             codec.write_table(&mut out);
-            let blob = mshuf::encode(&symbols, &codec, HUFF_STREAMS);
+            let blob = mshuf::encode(&symbols, &codec, mshuf::HUFF_STREAMS);
             out.extend_from_slice(&blob);
             out
         }

@@ -49,6 +49,12 @@ use crate::CodecError;
 /// without letting hostile headers demand absurd reader state.
 pub const MAX_STREAMS: usize = 8;
 
+/// Stream count every encoder in the workspace writes (the SZ code
+/// streams and the bake-off's Huffman chunks). Four independent streams
+/// give the decoder four parallel bit-level dependency chains, which is
+/// what lets it sustain more than one symbol per refill.
+pub const HUFF_STREAMS: usize = 4;
+
 /// Encode `symbols` round-robin into `n_streams` interleaved bitstreams
 /// sharing `codec`. The codec's table is *not* serialized here — callers
 /// frame it separately (see [`HuffmanCodec::write_table`]).

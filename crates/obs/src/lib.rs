@@ -299,7 +299,7 @@ pub fn span(name: &'static str) -> Span {
     imp::span(name)
 }
 
-/// [`span`] with a runtime-numbered name, e.g. `pool.worker.3` — used for
+/// [`span`] with a runtime-numbered name, e.g. `par_map.worker.3` — used for
 /// per-worker accounting where the index is not known at compile time.
 #[inline]
 pub fn span_labeled(prefix: &str, index: usize) -> Span {
@@ -325,7 +325,7 @@ pub fn add(name: &str, n: u64) {
 }
 
 /// [`add`] to a runtime-numbered counter `prefix.index.suffix`, e.g.
-/// `pool.worker.3.busy_ns`.
+/// `fratio.pass.1.predicted_bpv_milli`.
 #[inline]
 pub fn add_labeled(index: usize, prefix: &str, suffix: &str, n: u64) {
     imp::add_labeled(index, prefix, suffix, n)

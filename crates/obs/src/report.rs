@@ -24,7 +24,7 @@ pub struct SpanStat {
 /// One monotonic counter (bytes, invocations, busy nanoseconds, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterStat {
-    /// Counter name, e.g. `sz.bytes_in` or `pool.worker.3.jobs`.
+    /// Counter name, e.g. `sz.bytes_in` or `sz.lossless.chunks.deflate`.
     pub name: String,
     /// Accumulated value.
     pub value: u64,

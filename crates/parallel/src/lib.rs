@@ -2,7 +2,8 @@
 //!
 //! The paper's motivating scenario is compressing *many* fields per
 //! snapshot (CESM involves 100+ fields); the natural parallel axis is one
-//! task per field, plus chunked parallelism inside the data generators.
+//! task per field, plus independent blocks inside one field that share
+//! one global error bound.
 //!
 //! The domain guides recommend Rayon-style data parallelism, but this
 //! project builds fully offline with no external crates, so the needed
@@ -10,23 +11,22 @@
 //! `std::sync`:
 //!
 //! - [`par_map`] / [`par_map_indexed`] — dynamically scheduled parallel map
-//!   over a slice, preserving input order in the output,
-//! - [`par_chunks_mut`] — in-place parallel mutation of disjoint chunks,
-//! - [`pool::ThreadPool`] — a persistent worker pool for repeated batches
-//!   (benchmarks re-submit work without re-spawning threads), with
-//!   per-worker busy accounting exported through `fpsnr-obs`.
+//!   over a slice, preserving input order in the output, with per-worker
+//!   busy time recorded as `par_map.worker.<i>` spans in `fpsnr-obs`,
+//! - [`nested_split`] — how a thread budget divides between an outer map
+//!   over fields and an inner map over the blocks of each field.
 //!
-//! All primitives are data-race-free by construction: work is distributed
-//! through an atomic cursor or a locked queue, and mutable state is
-//! partitioned with `chunks_mut` semantics.
+//! This is the one parallel runtime of the workspace: the per-field
+//! batch and allocation passes, the blocked encoder's walk, encode and
+//! lossless phases, and the blocked decoders all run on [`par_map`].
+//! Workers are scoped threads spawned per call, so closures may borrow
+//! the caller's data, and work is distributed through an atomic cursor:
+//! data-race-free by construction.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod pool;
-
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Number of worker threads to use by default: the machine's available
 /// parallelism, capped at 16 (the experiment harness never benefits past
@@ -136,47 +136,6 @@ where
         .collect()
 }
 
-/// Mutate disjoint `chunk_size`-length chunks of `data` in parallel. The
-/// closure receives the chunk index and the chunk slice; chunk boundaries
-/// are identical to `data.chunks_mut(chunk_size)`.
-///
-/// # Panics
-/// Panics when `chunk_size == 0`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    if data.is_empty() {
-        return;
-    }
-    let threads = threads.max(1);
-    if threads == 1 {
-        for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    // Pre-filled locked work list: workers pop until empty. Chunk order
-    // does not matter (the chunks are disjoint by construction).
-    let work: Mutex<Vec<(usize, &mut [T])>> =
-        Mutex::new(data.chunks_mut(chunk_size).enumerate().collect());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let work = &work;
-            let f = &f;
-            s.spawn(move || loop {
-                let item = work.lock().expect("work queue lock").pop();
-                match item {
-                    Some((i, chunk)) => f(i, chunk),
-                    None => break,
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,32 +207,6 @@ mod tests {
             }
             x
         });
-    }
-
-    #[test]
-    fn par_chunks_mut_disjoint_updates() {
-        let mut data = vec![0u64; 1003];
-        par_chunks_mut(&mut data, 100, 4, |ci, chunk| {
-            for v in chunk.iter_mut() {
-                *v = ci as u64 + 1;
-            }
-        });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, (i / 100 + 1) as u64, "index {i}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_empty_is_noop() {
-        let mut data: Vec<u8> = vec![];
-        par_chunks_mut(&mut data, 16, 4, |_, _| panic!("no chunks expected"));
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size")]
-    fn par_chunks_mut_rejects_zero_chunk() {
-        let mut data = vec![1u8];
-        par_chunks_mut(&mut data, 0, 2, |_, _| {});
     }
 
     #[test]

@@ -34,28 +34,25 @@
 
 use crate::compressor::{
     apply_lossless, choose_intervals, quantized_walk_on, read_escape_values, read_f64,
-    replay_quantized_walk, select_model, take, undo_lossless_bounded, BlockDamage,
+    replay_quantized_walk, select_model, take, undo_lossless_bounded, write_escapes, BlockDamage,
     CompressionDetail, DamageReport, DecodeLimits, WalkOutput,
 };
-use crate::config::{EntropyCoder, EscapeCoding, KernelMode, SzConfig};
+use crate::config::{EntropyCoder, SzConfig};
 use crate::error::{DecodeError, SzError};
 use crate::format::{self, Header, Mode};
 use crate::grid::ChunkGrid;
 use crate::predictor::{Predictor, PredictorKind, PredictorModel, REGRESSION_COEFF_BYTES};
-use crate::unpredictable;
-use fpsnr_parallel::pool::ThreadPool;
-use losslesskit::bitio::BitWriter;
 use losslesskit::crc32::crc32;
 use losslesskit::huffman::HuffmanCodec;
 use losslesskit::{mshuf, range, varint};
 use ndfield::{Field, Scalar, Shape};
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Blocked-container version byte for slab partitions (v3: v2's
 /// per-section lossless + CRC directory, with the Huffman code streams
-/// interleaved across [`HUFF_STREAMS`] independent bit streams — entropy
-/// stage 2). The decoder also accepts versions 1 and 2.
+/// interleaved across [`mshuf::HUFF_STREAMS`] independent bit streams —
+/// entropy stage 2). The decoder also accepts versions 1 and 2.
 const BLOCKED_VERSION: u8 = 3;
 
 /// Blocked-container version byte for multi-dimensional chunk grids: same
@@ -74,9 +71,6 @@ const BLOCKED_VERSION_MIXED: u8 = 5;
 /// Container-level predictor byte of a v5 container: "look inside each
 /// block". Deliberately outside every [`PredictorKind`] tag.
 const PER_BLOCK_PREDICTORS: u8 = 0xFF;
-
-/// Interleaved Huffman streams per block section (entropy stage 2).
-const HUFF_STREAMS: usize = 4;
 
 /// Auto block sizing targets at least this many samples per block: small
 /// enough to feed 8–16 workers on a 64³ field, large enough that the
@@ -171,7 +165,7 @@ fn encode_block<T: Scalar>(
     per_block_header: bool,
 ) -> BlockBits {
     let stream = match codec {
-        Some(c) => mshuf::encode(codes, c, HUFF_STREAMS),
+        Some(c) => mshuf::encode(codes, c, mshuf::HUFF_STREAMS),
         None => range::range_encode(codes, bins),
     };
     let mut body = Vec::with_capacity(stream.len() + unpred.len() * T::BYTES + 16);
@@ -186,20 +180,7 @@ fn encode_block<T: Scalar>(
     varint::write_u64(&mut body, stream.len() as u64);
     body.extend_from_slice(&stream);
     varint::write_u64(&mut body, unpred.len() as u64);
-    match cfg.escape {
-        EscapeCoding::Exact => {
-            for &u in unpred {
-                u.write_le(&mut body);
-            }
-        }
-        EscapeCoding::Truncated => {
-            let mut bw = BitWriter::new();
-            unpredictable::encode(unpred, eb, &mut bw);
-            let bits = bw.finish();
-            varint::write_u64(&mut body, bits.len() as u64);
-            body.extend_from_slice(&bits);
-        }
-    }
+    write_escapes(&mut body, unpred, cfg.escape, eb);
     BlockBits {
         stream_len: stream.len(),
         n_unpred: unpred.len(),
@@ -207,150 +188,52 @@ fn encode_block<T: Scalar>(
     }
 }
 
-/// Phase 1: the per-block prediction + quantization walks. On the pool
-/// path each worker pops a reusable reconstruction buffer from a shared
-/// arena, so a thread processing many blocks allocates it once. Slab
-/// blocks are walked in place over the field's own storage; grid blocks
-/// are gathered into a contiguous scratch buffer first.
+/// Phase 1: the per-block prediction + quantization walks, one
+/// [`fpsnr_parallel::par_map`] task per block. Each task takes a
+/// reconstruction buffer and a gather buffer from a shared arena and
+/// returns them when done, so the buffers are allocated about once per
+/// worker rather than once per block. Slab blocks are walked in place over
+/// the field's own storage; grid blocks are gathered into the contiguous
+/// buffer first.
 ///
 /// Predictor selection happens here, per block, inside the walk task:
 /// [`select_model`] depends only on the block's samples and the config, so
 /// the chosen models — and therefore the container bytes — are identical
 /// for any thread count.
-#[allow(clippy::too_many_arguments)]
 fn run_walks<T: Scalar>(
     field: &Field<T>,
     grid: &ChunkGrid,
     eb: f64,
     bins: usize,
-    kind: PredictorKind,
-    escape: EscapeCoding,
-    kernel: KernelMode,
-    pool: Option<&ThreadPool>,
-) -> Vec<(PredictorModel, WalkOutput<T>)> {
-    let n_blocks = grid.n_blocks();
-    let data = field.as_slice();
-    let slab = grid.is_slab();
-    match pool {
-        None => {
-            let mut recon = Vec::new();
-            let mut gathered: Vec<T> = Vec::new();
-            (0..n_blocks)
-                .map(|b| {
-                    let bshape = grid.block_shape(b);
-                    let samples: &[T] = if slab {
-                        &data[grid.covering_range(b)]
-                    } else {
-                        grid.gather(data, b, &mut gathered);
-                        &gathered
-                    };
-                    let model = select_model(samples, bshape, kind, eb, bins);
-                    let out = quantized_walk_on(
-                        samples, bshape, eb, bins, model, escape, false, &mut recon, kernel,
-                    );
-                    (model, out)
-                })
-                .collect()
-        }
-        Some(pool) => {
-            let results: Arc<Mutex<Vec<Option<(PredictorModel, WalkOutput<T>)>>>> =
-                Arc::new(Mutex::new((0..n_blocks).map(|_| None).collect()));
-            let scratch: Arc<Mutex<Vec<Vec<f64>>>> = Arc::new(Mutex::new(Vec::new()));
-            for b in 0..n_blocks {
-                let bshape = grid.block_shape(b);
-                // Pool jobs are 'static: hand each one an owned copy of its
-                // block (a strided memcpy, dwarfed by the walk itself).
-                let block = if slab {
-                    data[grid.covering_range(b)].to_vec()
-                } else {
-                    let mut buf = Vec::new();
-                    grid.gather(data, b, &mut buf);
-                    buf
-                };
-                let results = Arc::clone(&results);
-                let scratch = Arc::clone(&scratch);
-                pool.execute(move || {
-                    let mut recon = scratch
-                        .lock()
-                        .expect("scratch arena lock")
-                        .pop()
-                        .unwrap_or_default();
-                    let model = select_model(&block, bshape, kind, eb, bins);
-                    let out = quantized_walk_on(
-                        &block, bshape, eb, bins, model, escape, false, &mut recon, kernel,
-                    );
-                    scratch.lock().expect("scratch arena lock").push(recon);
-                    results.lock().expect("walk results lock")[b] = Some((model, out));
-                });
-            }
-            pool.wait();
-            let mut guard = results.lock().expect("walk results lock");
-            guard
-                .iter_mut()
-                .map(|o| o.take().expect("every block walked"))
-                .collect()
-        }
-    }
-}
-
-/// Phase 3: per-block entropy encode + escape payload + lossless pass, all
-/// against the shared codec.
-#[allow(clippy::too_many_arguments)]
-fn run_encodes<T: Scalar>(
-    walks: Vec<(PredictorModel, WalkOutput<T>)>,
-    codec: Option<Arc<HuffmanCodec>>,
-    bins: usize,
-    eb: f64,
     cfg: &SzConfig,
-    per_block_header: bool,
-    pool: Option<&ThreadPool>,
-) -> Vec<BlockBits> {
-    match pool {
-        None => walks
-            .into_iter()
-            .map(|(m, w)| {
-                encode_block(
-                    &w.codes,
-                    &w.unpred,
-                    codec.as_deref(),
-                    bins,
-                    eb,
-                    cfg,
-                    m,
-                    per_block_header,
-                )
-            })
-            .collect(),
-        Some(pool) => {
-            let n = walks.len();
-            let results: Arc<Mutex<Vec<Option<BlockBits>>>> =
-                Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-            let cfg = *cfg;
-            for (b, (m, w)) in walks.into_iter().enumerate() {
-                let codec = codec.clone();
-                let results = Arc::clone(&results);
-                pool.execute(move || {
-                    let bits = encode_block(
-                        &w.codes,
-                        &w.unpred,
-                        codec.as_deref(),
-                        bins,
-                        eb,
-                        &cfg,
-                        m,
-                        per_block_header,
-                    );
-                    results.lock().expect("encode results lock")[b] = Some(bits);
-                });
-            }
-            pool.wait();
-            let mut guard = results.lock().expect("encode results lock");
-            guard
-                .iter_mut()
-                .map(|o| o.take().expect("every block encoded"))
-                .collect()
-        }
-    }
+    threads: usize,
+) -> Vec<(PredictorModel, WalkOutput<T>)> {
+    let data = field.as_slice();
+    let arena: Mutex<Vec<(Vec<f64>, Vec<T>)>> = Mutex::new(Vec::new());
+    let blocks: Vec<usize> = (0..grid.n_blocks()).collect();
+    fpsnr_parallel::par_map(&blocks, threads, |&b| {
+        let (mut recon, mut gathered) = arena
+            .lock()
+            .expect("walk arena lock")
+            .pop()
+            .unwrap_or_default();
+        let bshape = grid.block_shape(b);
+        let samples: &[T] = if grid.is_slab() {
+            &data[grid.covering_range(b)]
+        } else {
+            grid.gather(data, b, &mut gathered);
+            &gathered
+        };
+        let model = select_model(samples, bshape, cfg.predictor, eb, bins);
+        let out = quantized_walk_on(
+            samples, bshape, eb, bins, model, cfg.escape, false, &mut recon, cfg.kernel,
+        );
+        arena
+            .lock()
+            .expect("walk arena lock")
+            .push((recon, gathered));
+        (model, out)
+    })
 }
 
 /// Compress a field through the blocked pipeline. Caller has already
@@ -383,32 +266,17 @@ pub(crate) fn compress_blocked<T: Scalar>(
     let (version, grid) = resolve_partition(shape, cfg)?;
     let version = if per_block { BLOCKED_VERSION_MIXED } else { version };
     let n_blocks = grid.n_blocks();
-    let lz_threads = resolve_threads(cfg.threads).max(1);
-    let threads = lz_threads.min(n_blocks);
-    let pool = (threads > 1).then(|| ThreadPool::new(threads));
+    let threads = resolve_threads(cfg.threads);
 
     // Phase 1 (sz.block.walk): independent per-block walks.
     // Record which kernel tier drives them — telemetry only, the dispatch
     // level never influences container bytes (DESIGN.md §17).
     if fpsnr_obs::is_enabled() {
-        let tier = match losslesskit::simd::active() {
-            losslesskit::simd::SimdLevel::Off => "sz.block.simd.off",
-            losslesskit::simd::SimdLevel::Sse2 => "sz.block.simd.sse2",
-            losslesskit::simd::SimdLevel::Avx2 => "sz.block.simd.avx2",
-        };
-        fpsnr_obs::add(tier, n_blocks as u64);
+        let tier = losslesskit::simd::active().name();
+        fpsnr_obs::add(&format!("sz.block.simd.{tier}"), n_blocks as u64);
     }
     let walk_span = fpsnr_obs::span("sz.block.walk");
-    let walks = run_walks(
-        field,
-        &grid,
-        eb_abs,
-        bins,
-        cfg.predictor,
-        cfg.escape,
-        cfg.kernel,
-        pool.as_ref(),
-    );
+    let walks = run_walks(field, &grid, eb_abs, bins, cfg, threads);
     drop(walk_span);
 
     // Phase 2 (sz.block.merge): merge frequencies, build the shared table.
@@ -424,16 +292,36 @@ pub(crate) fn compress_blocked<T: Scalar>(
             let codec = HuffmanCodec::from_counts(&counts);
             let mut table = Vec::new();
             codec.write_table(&mut table);
-            (Some(Arc::new(codec)), table)
+            (Some(codec), table)
         }
         EntropyCoder::Range => (None, Vec::new()),
     };
     let table_len = table.len();
     drop(merge_span);
 
-    // Phase 3 (sz.block.encode): per-block entropy + lossless stages.
+    // Phase 3 (sz.block.encode): per-block entropy encode + escape
+    // payload against the shared codec. Each task takes its walk out of
+    // its cell, so the walk is freed as soon as its block is encoded and
+    // the payloads reuse that memory instead of adding to the peak.
     let encode_span = fpsnr_obs::span("sz.block.encode");
-    let blocks = run_encodes(walks, codec, bins, eb_abs, cfg, per_block, pool.as_ref());
+    let cells: Vec<Mutex<Option<_>>> = walks.into_iter().map(|w| Mutex::new(Some(w))).collect();
+    let blocks = fpsnr_parallel::par_map(&cells, threads, |cell| {
+        let (model, w) = cell
+            .lock()
+            .expect("walk cell lock")
+            .take()
+            .expect("each walk is encoded once");
+        encode_block(
+            &w.codes,
+            &w.unpred,
+            codec.as_ref(),
+            bins,
+            eb_abs,
+            cfg,
+            model,
+            per_block,
+        )
+    });
     drop(encode_span);
 
     // Stage 4 (sz.lossless): compress each section INDEPENDENTLY — the
@@ -449,13 +337,12 @@ pub(crate) fn compress_blocked<T: Scalar>(
         let mut tsec = Vec::with_capacity(table_len + 10);
         varint::write_u64(&mut tsec, table.len() as u64);
         tsec.extend_from_slice(&table);
-        Some(apply_lossless(tsec, cfg))
+        Some(apply_lossless(&tsec, cfg))
     } else {
         None
     };
-    let payloads: Vec<&[u8]> = blocks.iter().map(|b| b.payload.as_slice()).collect();
     let packed: Vec<(u8, Vec<u8>)> =
-        fpsnr_parallel::par_map(&payloads, lz_threads, |&p| apply_lossless(p.to_vec(), cfg));
+        fpsnr_parallel::par_map(&blocks, threads, |b| apply_lossless(&b.payload, cfg));
     drop(lossless_span);
 
     // v2/v3/v4 layout: params, then a CRC-32 directory (one descriptor per
@@ -474,10 +361,7 @@ pub(crate) fn compress_blocked<T: Scalar>(
     } else {
         cfg.predictor.tag()
     });
-    out.push(match cfg.escape {
-        EscapeCoding::Exact => 0,
-        EscapeCoding::Truncated => 1,
-    });
+    out.push(cfg.escape.tag());
     // Entropy stage byte: v3+ write interleaved Huffman as stage 2
     // (stage 0, the monolithic single-stream form, is decode-only legacy).
     out.push(match cfg.entropy {
@@ -1015,7 +899,7 @@ fn decode_v2<T: Scalar>(
 mod tests {
     use super::*;
     use crate::compressor::{compress, compress_with_detail, decompress};
-    use crate::config::ErrorBound;
+    use crate::config::{ErrorBound, EscapeCoding};
 
     fn wavy(rows: usize, cols: usize) -> Field<f32> {
         Field::from_fn_2d(rows, cols, |i, j| {

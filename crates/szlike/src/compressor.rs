@@ -102,8 +102,9 @@ fn quantized_walk<T: Scalar>(
 }
 
 /// Slice-level walk with caller-owned reconstruction scratch: the blocked
-/// path runs one walk per block on pool workers, and reusing `recon` across
-/// the blocks a worker claims avoids the largest per-block allocation.
+/// path runs one walk per block on `par_map` workers, and reusing `recon`
+/// across the blocks a worker claims avoids the largest per-block
+/// allocation.
 ///
 /// `kernel` selects the implementation; both produce identical output (the
 /// fused kernels replicate this loop's float-op order exactly, and the
@@ -223,11 +224,8 @@ pub fn compress_with_detail<T: Scalar>(
         // Telemetry only: the dispatch tier never reaches container bytes
         // (byte-identity contract, DESIGN.md §17), but perf traces are
         // meaningless without knowing which kernel tier produced them.
-        match losslesskit::simd::active() {
-            losslesskit::simd::SimdLevel::Off => fpsnr_obs::add("sz.simd.off", 1),
-            losslesskit::simd::SimdLevel::Sse2 => fpsnr_obs::add("sz.simd.sse2", 1),
-            losslesskit::simd::SimdLevel::Avx2 => fpsnr_obs::add("sz.simd.avx2", 1),
-        }
+        let tier = losslesskit::simd::active().name();
+        fpsnr_obs::add(&format!("sz.simd.{tier}"), 1);
     }
     Ok((bytes, detail))
 }
@@ -261,7 +259,8 @@ fn compress_raw<T: Scalar>(
     format::write_header(&mut out, T::TAG, Mode::Raw, field.shape())?;
     let raw = fio::to_le_bytes(field);
     let body_bytes = raw.len();
-    let (flag, payload) = apply_lossless(raw, cfg);
+    let (flag, payload) = apply_lossless(&raw, cfg);
+    drop(raw);
     out.push(flag);
     varint::write_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
@@ -282,32 +281,29 @@ fn compress_raw<T: Scalar>(
 
 /// Run the configured lossless backend; returns `(flag, bytes)` keeping the
 /// smaller of compressed/uncompressed so the backend can never inflate.
+/// The input is borrowed; it is copied only when stored as-is (flag 0).
 ///
 /// The `Lz` backend runs the per-chunk bake-off (flag 2): each 256 KiB
 /// chunk independently picks stored/DEFLATE/Huffman/range by measured
 /// entropy and probe cost. Flag 1 (whole-body DEFLATE) remains decodable
 /// for containers written before v3.
-pub(crate) fn apply_lossless(body: Vec<u8>, cfg: &SzConfig) -> (u8, Vec<u8>) {
-    match cfg.lossless {
-        LosslessBackend::None => (0, body),
-        LosslessBackend::Lz => {
-            let (baked, stats) = bakeoff::compress_with_stats(&body, Effort::Default);
-            if fpsnr_obs::is_enabled() {
-                for (i, backend) in bakeoff::Backend::ALL.iter().enumerate() {
-                    if stats.chunks[i] > 0 {
-                        let name = backend.name();
-                        fpsnr_obs::add(&format!("sz.lossless.chunks.{name}"), stats.chunks[i]);
-                        fpsnr_obs::add(&format!("sz.lossless.bytes.{name}"), stats.comp_bytes[i]);
-                    }
+pub(crate) fn apply_lossless(body: &[u8], cfg: &SzConfig) -> (u8, Vec<u8>) {
+    if cfg.lossless == LosslessBackend::Lz {
+        let (baked, stats) = bakeoff::compress_with_stats(body, Effort::Default);
+        if fpsnr_obs::is_enabled() {
+            for (i, backend) in bakeoff::Backend::ALL.iter().enumerate() {
+                if stats.chunks[i] > 0 {
+                    let name = backend.name();
+                    fpsnr_obs::add(&format!("sz.lossless.chunks.{name}"), stats.chunks[i]);
+                    fpsnr_obs::add(&format!("sz.lossless.bytes.{name}"), stats.comp_bytes[i]);
                 }
             }
-            if baked.len() < body.len() {
-                (2, baked)
-            } else {
-                (0, body)
-            }
+        }
+        if baked.len() < body.len() {
+            return (2, baked);
         }
     }
+    (0, body.to_vec())
 }
 
 /// Inverse of [`apply_lossless`] with a hard cap on the inflated size, so a
@@ -564,7 +560,7 @@ fn compress_quantized<T: Scalar>(
             let codec = HuffmanCodec::from_counts(&counts);
             let mut table = Vec::new();
             codec.write_table(&mut table);
-            let blob = mshuf::encode(&walk.codes, &codec, HUFF_STREAMS);
+            let blob = mshuf::encode(&walk.codes, &codec, mshuf::HUFF_STREAMS);
             body.push(2u8);
             varint::write_u64(&mut body, table.len() as u64);
             body.extend_from_slice(&table);
@@ -581,22 +577,8 @@ fn compress_quantized<T: Scalar>(
         }
     };
     varint::write_u64(&mut body, walk.unpred.len() as u64);
-    match cfg.escape {
-        EscapeCoding::Exact => {
-            body.push(0u8);
-            for &u in &walk.unpred {
-                u.write_le(&mut body);
-            }
-        }
-        EscapeCoding::Truncated => {
-            body.push(1u8);
-            let mut bw = BitWriter::new();
-            unpredictable::encode(&walk.unpred, eb_abs, &mut bw);
-            let bits = bw.finish();
-            varint::write_u64(&mut body, bits.len() as u64);
-            body.extend_from_slice(&bits);
-        }
-    }
+    body.push(cfg.escape.tag());
+    write_escapes(&mut body, &walk.unpred, cfg.escape, eb_abs);
     let body_bytes = body.len();
     drop(encode_span);
 
@@ -610,7 +592,9 @@ fn compress_quantized<T: Scalar>(
     out.extend_from_slice(&model.coeff_bytes());
     // Stage 4 (sz.lossless): LZ pass over the serialized body.
     let lossless_span = fpsnr_obs::span("sz.lossless");
-    let (flag, payload) = apply_lossless(body, cfg);
+    let (flag, payload) = apply_lossless(&body, cfg);
+    // Free the body before the container grows to its full size.
+    drop(body);
     drop(lossless_span);
     out.push(flag);
     varint::write_u64(&mut out, payload.len() as u64);
@@ -677,7 +661,7 @@ fn compress_log_rel<T: Scalar>(
     let mut out = Vec::with_capacity(inner.len() + packed.len() + nonfinite.len() * T::BYTES + 64);
     format::write_header(&mut out, T::TAG, Mode::LogPointwiseRel, field.shape())?;
     out.extend_from_slice(&eb.to_le_bytes());
-    let (flag, class_payload) = apply_lossless(packed, cfg);
+    let (flag, class_payload) = apply_lossless(&packed, cfg);
     out.push(flag);
     varint::write_u64(&mut out, class_payload.len() as u64);
     out.extend_from_slice(&class_payload);
@@ -1062,6 +1046,34 @@ fn decompress_quantized<T: Scalar>(
     Ok(Field::from_vec(header.shape, samples))
 }
 
+/// Append the escape payload of `unpred` in the given coding: raw IEEE
+/// bits, or the truncated binary representation behind a varint length.
+/// The tag and value count are the caller's framing.
+///
+/// This is the single escape writer shared by the monolithic body and
+/// every blocked-container block; [`read_escape_values`] is its inverse.
+pub(crate) fn write_escapes<T: Scalar>(
+    out: &mut Vec<u8>,
+    unpred: &[T],
+    escape: EscapeCoding,
+    eb: f64,
+) {
+    match escape {
+        EscapeCoding::Exact => {
+            for &u in unpred {
+                u.write_le(out);
+            }
+        }
+        EscapeCoding::Truncated => {
+            let mut bw = BitWriter::new();
+            unpredictable::encode(unpred, eb, &mut bw);
+            let bits = bw.finish();
+            varint::write_u64(out, bits.len() as u64);
+            out.extend_from_slice(&bits);
+        }
+    }
+}
+
 /// Parse an escape payload (tag 0: raw IEEE bits, tag 1: truncated binary
 /// representation) starting at `bpos`, advancing it past the payload.
 ///
@@ -1160,11 +1172,6 @@ pub(crate) fn replay_quantized_walk<T: Scalar>(
 /// Target Huffman-decode granularity for the fused mirror, in codes; the
 /// actual chunk is the nearest whole number of outer-dimension slices.
 const DECODE_CHUNK_CODES: usize = 16 * 1024;
-
-/// Interleaved Huffman streams written by the stage-2 entropy coder. Four
-/// independent streams give the decoder four parallel bit-level dependency
-/// chains, which is what lets it sustain >1 symbol per refill.
-const HUFF_STREAMS: usize = 4;
 
 fn decompress_log_rel<T: Scalar>(
     src: &[u8],

@@ -76,6 +76,17 @@ pub enum EscapeCoding {
     Truncated,
 }
 
+impl EscapeCoding {
+    /// Wire tag of the escape payload (0 = exact IEEE bits, 1 = truncated),
+    /// as parsed by the decoder's escape reader.
+    pub(crate) fn tag(self) -> u8 {
+        match self {
+            EscapeCoding::Exact => 0,
+            EscapeCoding::Truncated => 1,
+        }
+    }
+}
+
 /// Which implementation runs the quantized walk (and its decode mirror).
 ///
 /// Both produce **bit-identical containers** — the fused kernels replicate

@@ -12,7 +12,10 @@
 
 use ndfield::{Field, Shape};
 use proptest::prelude::*;
-use szlike::{compress, decompress, decompress_with_threads, ErrorBound, SzConfig};
+use szlike::{
+    compress, decompress, decompress_with_threads, EntropyCoder, ErrorBound, EscapeCoding,
+    PredictorKind, SzConfig,
+};
 
 /// Deterministic pseudo-random field: smooth carrier + xorshift noise, so
 /// both the predictable core and the escape path get exercised.
@@ -45,7 +48,8 @@ fn assert_bound(field: &Field<f32>, back: &Field<f32>) -> Result<(), String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    // Default config: 64 cases, raised through PROPTEST_CASES in CI.
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn blocked_roundtrip_bound_holds_1d(
@@ -109,20 +113,55 @@ proptest! {
     fn container_bytes_never_depend_on_thread_count(
         rows in 1usize..30,
         cols in 1usize..30,
+        depth in 0usize..8,
         seed in any::<u64>(),
         block_rows in 1usize..7,
+        grid in proptest::bool::ANY,
+        chunk in 2usize..10,
+        auto in proptest::bool::ANY,
+        range in proptest::bool::ANY,
+        truncated in proptest::bool::ANY,
+        few_bins in proptest::bool::ANY,
     ) {
-        // block_rows >= 1 forces the blocked container for every thread
-        // count, including threads == 1.
-        let field = field_from_seed(&[rows, cols], seed);
-        let base = SzConfig::new(ErrorBound::Abs(EB)).with_block_rows(block_rows);
+        // depth 0 draws a 2-D field. Without `grid` the slab partition
+        // with block_rows >= 1 is used; with it a chunk_dims grid (the
+        // gather path) cuts every axis into chunks of `chunk`. Either way
+        // the blocked container is written at every thread count,
+        // including threads == 1. Auto writes the v5 per-block predictor
+        // layout; few bins make escapes common.
+        let dims: Vec<usize> = if depth == 0 {
+            vec![rows, cols]
+        } else {
+            vec![rows, cols, depth]
+        };
+        let field = field_from_seed(&dims, seed);
+        let mut base = SzConfig::new(ErrorBound::Abs(EB));
+        if grid {
+            let mut chunk_dims = [0; 3];
+            chunk_dims[..dims.len()].fill(chunk);
+            base = base.with_chunk_dims(chunk_dims);
+        } else {
+            base = base.with_block_rows(block_rows);
+        }
+        if auto {
+            base = base.with_predictor(PredictorKind::Auto);
+        }
+        if range {
+            base = base.with_entropy(EntropyCoder::Range);
+        }
+        if truncated {
+            base = base.with_escape(EscapeCoding::Truncated);
+        }
+        if few_bins {
+            base = base.with_quant_bins(16);
+        }
         let reference = compress(&field, &base.with_threads(1)).unwrap();
         for threads in [2usize, 3, 8] {
             let bytes = compress(&field, &base.with_threads(threads)).unwrap();
             prop_assert!(
                 bytes == reference,
-                "threads={} produced different bytes ({}x{}, block_rows={})",
-                threads, rows, cols, block_rows
+                "threads={} produced different bytes ({:?}, {:?})",
+                threads, dims, base
             );
         }
     }

@@ -102,7 +102,8 @@ fn simd_levels_agree(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // Default config: 64 cases, raised through PROPTEST_CASES in CI.
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn fused_matches_reference_1d(

@@ -14,7 +14,7 @@
 //! | metrics | [`metrics`] | MSE/NRMSE/PSNR with the paper's definitions, histograms, ratios |
 //! | fields | [`field`] | n-dimensional grids, statistics, raw I/O |
 //! | data | [`data`] | synthetic ATM/Hurricane/NYX-like data sets |
-//! | runtime | [`parallel`] | crossbeam-backed parallel map / thread pool |
+//! | runtime | [`parallel`] | `std::thread` scoped, order-preserving parallel map |
 //!
 //! ## Quickstart
 //!
