@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use datagen::grf::grf_3d;
 use ndfield::{Field, Shape};
 use szlike::kernels::{reconstruct_fused, reconstruct_reference, walk_fused, walk_reference};
-use szlike::{ErrorBound, EscapeCoding, KernelMode, PredictorKind, SzConfig};
+use szlike::{ErrorBound, EscapeCoding, KernelMode, PredictorModel, SzConfig};
 
 fn bench_hotloop(c: &mut Criterion) {
     let dim = 32usize; // CI-friendly; the hotloop bin sweeps 64^3
@@ -21,9 +21,9 @@ fn bench_hotloop(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("kernel_walk");
     group.throughput(Throughput::Bytes(raw));
-    for pred in [PredictorKind::Lorenzo1, PredictorKind::Lorenzo2] {
+    for pred in [PredictorModel::Lorenzo1, PredictorModel::Lorenzo2] {
         let tag = match pred {
-            PredictorKind::Lorenzo1 => "l1",
+            PredictorModel::Lorenzo1 => "l1",
             _ => "l2",
         };
         group.bench_function(format!("fused_{tag}"), |b| {
@@ -63,7 +63,7 @@ fn bench_hotloop(c: &mut Criterion) {
         shape,
         eb,
         bins,
-        PredictorKind::Lorenzo1,
+        PredictorModel::Lorenzo1,
         EscapeCoding::Exact,
         &mut scratch,
     );
@@ -77,7 +77,7 @@ fn bench_hotloop(c: &mut Criterion) {
                 shape,
                 eb,
                 bins,
-                PredictorKind::Lorenzo1,
+                PredictorModel::Lorenzo1,
             )
             .unwrap()
         });
@@ -90,7 +90,7 @@ fn bench_hotloop(c: &mut Criterion) {
                 shape,
                 eb,
                 bins,
-                PredictorKind::Lorenzo1,
+                PredictorModel::Lorenzo1,
             )
             .unwrap()
         });

@@ -32,9 +32,11 @@ fn bench_overhead(c: &mut Criterion) {
     group.finish();
 
     // The Eq. 8 derivation itself, in isolation: nanoseconds.
-    c.bench_function("eq8_derivation_alone", |b| {
+    let mut group = c.benchmark_group("eq8_derivation");
+    group.bench_function("alone", |b| {
         b.iter(|| std::hint::black_box(ebrel_for_psnr(std::hint::black_box(80.0))));
     });
+    group.finish();
 }
 
 criterion_group!(benches, bench_overhead);

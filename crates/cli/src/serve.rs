@@ -30,7 +30,10 @@
 //! acknowledges with an empty ok frame, then the server drains and exits.
 //!
 //! A connection may issue any number of requests; the server answers in
-//! order. On exit the server prints a [`ServeReport`]: cache hit rate,
+//! order. A connection that sends no request for five minutes is closed,
+//! and one waiting for its next request notices a SHUTDOWN from another
+//! connection within 50 ms, so idle clients never hold the server open.
+//! On exit the server prints a [`ServeReport`]: cache hit rate,
 //! bytes decoded per byte served (the random-access win), and request
 //! latency percentiles, all sourced from the store's `fpsnr-obs`-mirrored
 //! counters.
@@ -55,6 +58,18 @@ const MAX_FRAME: usize = 1 << 30;
 /// untrusted client, so the server checks it against this cap before
 /// allocating the payload buffer.
 const MAX_REQUEST: usize = 64;
+
+/// How often a connection waiting for its next request checks the
+/// server's shutdown flag: the upper bound an idle client adds to
+/// SHUTDOWN.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// A connection that sends no request for this long is closed.
+const IDLE_LIMIT: Duration = Duration::from_secs(300);
+
+/// Once a request's first byte has arrived, the rest of its frame must
+/// follow within this long (a request is at most [`MAX_REQUEST`] bytes).
+const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Request op bytes.
 pub const OP_READ: u8 = 1;
@@ -295,9 +310,45 @@ fn parse_read(payload: &[u8]) -> Result<Region, String> {
     Region::new(&axes).map_err(|e| e.to_string())
 }
 
-/// Answer requests on one connection until EOF or SHUTDOWN. A request
-/// frame that cannot be read (over [`MAX_REQUEST`], or cut short) gets a
-/// best-effort error response and ends the connection.
+/// Wait for the first byte of the next request, polling the shutdown
+/// flag every [`IDLE_POLL`]. `false` when the peer closed the connection,
+/// the server is shutting down, or the connection idled past
+/// [`IDLE_LIMIT`]; `true` with the read timeout set to [`FRAME_TIMEOUT`]
+/// for the rest of the frame.
+fn await_request(stream: &TcpStream, shutdown: &AtomicBool) -> Result<bool, String> {
+    let set_timeout = |t| {
+        stream
+            .set_read_timeout(Some(t))
+            .map_err(|e| format!("setting read timeout: {e}"))
+    };
+    set_timeout(IDLE_POLL)?;
+    let idle_since = Instant::now();
+    loop {
+        match stream.peek(&mut [0u8; 1]) {
+            Ok(0) => return Ok(false),
+            Ok(_) => break,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if shutdown.load(Ordering::SeqCst) || idle_since.elapsed() >= IDLE_LIMIT {
+                    return Ok(false);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("waiting for a request: {e}")),
+        }
+    }
+    set_timeout(FRAME_TIMEOUT)?;
+    Ok(true)
+}
+
+/// Answer requests on one connection until EOF, SHUTDOWN (from any
+/// connection) or [`IDLE_LIMIT`] without a request. A request frame that
+/// cannot be read (over [`MAX_REQUEST`], or cut short) gets a best-effort
+/// error response and ends the connection.
 fn handle_connection(
     mut stream: TcpStream,
     store: &AnyStore,
@@ -305,6 +356,9 @@ fn handle_connection(
     latencies: &Mutex<Vec<u64>>,
 ) -> Result<(), String> {
     loop {
+        if !await_request(&stream, shutdown)? {
+            return Ok(());
+        }
         let frame = match read_frame(&mut stream, MAX_REQUEST) {
             Ok(Some(frame)) => frame,
             Ok(None) => return Ok(()),
@@ -592,6 +646,27 @@ mod tests {
         let mut ctl = TcpStream::connect(addr).unwrap();
         client_shutdown(&mut ctl).unwrap();
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn idle_client_does_not_block_shutdown() {
+        let (_, bytes) = grid_bytes(16, 8);
+        let (addr, handle) = spawn_server(bytes);
+        // Client A connects and never sends a byte.
+        let idle = TcpStream::connect(addr).unwrap();
+        let mut ctl = TcpStream::connect(addr).unwrap();
+        client_shutdown(&mut ctl).unwrap();
+        let start = Instant::now();
+        while !handle.is_finished() && start.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            handle.is_finished(),
+            "server not returned {:?} after SHUTDOWN with an idle client",
+            start.elapsed()
+        );
+        handle.join().unwrap();
+        drop(idle);
     }
 
     #[test]

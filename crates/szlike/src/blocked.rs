@@ -33,7 +33,7 @@
 //! decoding with any thread count produces identical samples.
 
 use crate::compressor::{
-    apply_lossless, choose_intervals, quantized_walk_on, read_escape_values, read_f64,
+    apply_lossless, choose_intervals, quantized_walk_on, read_eb_bins, read_escape_values,
     replay_quantized_walk, select_model, take, undo_lossless_bounded, write_escapes, BlockDamage,
     CompressionDetail, DamageReport, DecodeLimits, WalkOutput,
 };
@@ -509,14 +509,7 @@ pub(crate) fn read_params(
     if version == 0 || version > BLOCKED_VERSION_MIXED {
         return Err(SzError::Format("unsupported blocked container version"));
     }
-    let eb = read_f64(src, pos)?;
-    if !(eb.is_finite() && eb > 0.0) {
-        return Err(SzError::Format("bad stored error bound"));
-    }
-    let bins = varint::read_u64(src, pos)? as usize;
-    if bins < 4 || bins % 2 != 0 || bins > (1 << 24) {
-        return Err(SzError::Format("bad stored bin count"));
-    }
+    let (eb, bins) = read_eb_bins(src, pos)?;
     let pred_byte = take(src, pos, 1)?[0];
     let pred = if version >= BLOCKED_VERSION_MIXED {
         if pred_byte != PER_BLOCK_PREDICTORS {
@@ -574,79 +567,78 @@ pub(crate) fn read_params(
     ))
 }
 
-/// Decompress a blocked container; blocks decode in parallel (`threads`,
+/// Decode a blocked container; blocks decode in parallel (`threads`,
 /// 0 = auto) and the output is identical for any thread count.
+///
+/// In strict mode any damage is an error. Otherwise (see
+/// [`crate::decompress_partial`]) damaged blocks of v2+ containers are
+/// NaN-filled and reported while intact blocks decode normally; `crc_ok`
+/// is the outer-trailer verdict the report carries.
 pub(crate) fn decompress_blocked<T: Scalar>(
     src: &[u8],
     mut pos: usize,
     header: &Header,
     threads: usize,
     limits: &DecodeLimits,
-) -> Result<Field<T>, SzError> {
-    let (version, params) = read_params(src, &mut pos, header)?;
-    match version {
-        1 => decode_v1(src, pos, header, &params, threads, limits),
-        // v3 only changes the entropy stage inside each section, and v4
-        // only the partition parameters; the section framing (directory,
-        // meta-CRC, payloads) is identical to v2.
-        2..=BLOCKED_VERSION_MIXED => {
-            decode_v2(src, pos, header, &params, threads, limits, true).map(|(f, _)| f)
-        }
-        _ => Err(SzError::Format("unsupported blocked container version")),
-    }
-}
-
-/// Forgiving blocked decode (see [`crate::decompress_partial`]).
-pub(crate) fn decompress_blocked_partial<T: Scalar>(
-    src: &[u8],
-    mut pos: usize,
-    header: &Header,
-    threads: usize,
-    limits: &DecodeLimits,
+    strict: bool,
     crc_ok: bool,
 ) -> Result<(Field<T>, DamageReport), SzError> {
     let (version, params) = read_params(src, &mut pos, header)?;
-    match version {
-        1 => {
-            // v1 has no per-block integrity metadata, so recovery is
-            // all-or-nothing exactly like the monolithic modes.
-            let field = decode_v1::<T>(src, pos, header, &params, threads, limits)?;
-            let n = field.len();
-            Ok((
-                field,
-                DamageReport {
-                    n_blocks: params.grid.n_blocks(),
-                    damaged: Vec::new(),
-                    recovered_samples: n,
-                    container_crc_ok: crc_ok,
-                },
-            ))
-        }
-        2..=BLOCKED_VERSION_MIXED => {
-            let n_blocks = params.grid.n_blocks();
-            let (field, damaged) = decode_v2::<T>(src, pos, header, &params, threads, limits, false)?;
-            // A damaged grid block is a strided footprint, not a contiguous
-            // range, so count lost samples through the grid geometry (its
-            // `sample_range` is only a covering interval).
-            let lost: usize = damaged.iter().map(|d| params.grid.block_len(d.index)).sum();
-            fpsnr_obs::add("sz.decode.corrupt_blocks", damaged.len() as u64);
+    let n_blocks = params.grid.n_blocks();
+    let (field, damaged) = if version == 1 {
+        // v1 has no per-block integrity metadata, so recovery is
+        // all-or-nothing exactly like the monolithic modes.
+        (
+            decode_v1(src, pos, header, &params, threads, limits)?,
+            Vec::new(),
+        )
+    } else {
+        // v3 only changes the entropy stage inside each section, v4 the
+        // partition parameters and v5 the block payload prefix; the
+        // section framing (directory, meta-CRC, payloads) is v2's.
+        let decoded = decode_v2(src, pos, header, &params, threads, limits, strict)?;
+        if !strict {
+            fpsnr_obs::add("sz.decode.corrupt_blocks", decoded.1.len() as u64);
             fpsnr_obs::add(
                 "sz.decode.recovered_blocks",
-                (n_blocks - damaged.len()) as u64,
+                (n_blocks - decoded.1.len()) as u64,
             );
-            let n = field.len();
-            Ok((
-                field,
-                DamageReport {
-                    n_blocks,
-                    damaged,
-                    recovered_samples: n - lost,
-                    container_crc_ok: crc_ok,
-                },
-            ))
         }
-        _ => Err(SzError::Format("unsupported blocked container version")),
+        decoded
+    };
+    // A damaged grid block is a strided footprint, not a contiguous range,
+    // so count lost samples through the grid geometry (its `sample_range`
+    // is only a covering interval).
+    let lost: usize = damaged.iter().map(|d| params.grid.block_len(d.index)).sum();
+    let recovered_samples = field.len() - lost;
+    Ok((
+        field,
+        DamageReport {
+            n_blocks,
+            damaged,
+            recovered_samples,
+            container_crc_ok: crc_ok,
+        },
+    ))
+}
+
+/// Read the v1 body's chunk list: a chunk count, then `flag, varint len,
+/// payload` per chunk.
+pub(crate) fn read_v1_chunks<'a>(
+    src: &'a [u8],
+    pos: &mut usize,
+) -> Result<Vec<(u8, &'a [u8])>, SzError> {
+    let n_chunks = varint::read_u64(src, pos)? as usize;
+    if n_chunks == 0 || n_chunks > src.len() {
+        return Err(SzError::Format("implausible lossless chunk count"));
     }
+    let mut chunks = Vec::with_capacity(n_chunks);
+    for _ in 0..n_chunks {
+        let flag = take(src, pos, 1)?[0];
+        let len = varint::read_u64(src, pos)? as usize;
+        chunks.push((flag, take(src, pos, len)?));
+    }
+    Ok(chunks)
 }
 
 /// Decode the legacy v1 body: whole-body chunked LZ, no per-block CRCs.
@@ -660,23 +652,14 @@ fn decode_v1<T: Scalar>(
 ) -> Result<Field<T>, SzError> {
     // Undo the chunked lossless pass (chunks inflate in parallel), then
     // slice the shared table and the per-block sections out of the body.
-    let n_chunks = varint::read_u64(src, &mut pos)? as usize;
-    if n_chunks == 0 || n_chunks > src.len() {
-        return Err(SzError::Format("implausible lossless chunk count"));
-    }
-    let mut chunks = Vec::with_capacity(n_chunks);
-    for _ in 0..n_chunks {
-        let flag = take(src, &mut pos, 1)?[0];
-        let len = varint::read_u64(src, &mut pos)? as usize;
-        chunks.push((flag, take(src, &mut pos, len)?));
-    }
+    let chunks = read_v1_chunks(src, &mut pos)?;
     let max_body = limits.max_body_bytes();
     let threads = resolve_threads(threads);
     let unpacked: Vec<Result<Cow<'_, [u8]>, SzError>> =
         fpsnr_parallel::par_map(&chunks, threads, |&(flag, payload)| {
             undo_lossless_bounded(flag, payload, max_body)
         });
-    let body: Cow<'_, [u8]> = if n_chunks == 1 {
+    let body: Cow<'_, [u8]> = if chunks.len() == 1 {
         unpacked.into_iter().next().expect("one chunk")?
     } else {
         let mut buf = Vec::new();
@@ -729,7 +712,7 @@ fn decode_v1<T: Scalar>(
 
 /// Parse a `varint tlen | table` section into a Huffman codec, requiring
 /// the table to span the declared length exactly.
-pub(crate) fn read_shared_table(body: &[u8], bpos: &mut usize) -> Result<HuffmanCodec, SzError> {
+fn read_shared_table(body: &[u8], bpos: &mut usize) -> Result<HuffmanCodec, SzError> {
     let tlen = varint::read_u64(body, bpos)? as usize;
     let tend = bpos
         .checked_add(tlen)
@@ -742,157 +725,218 @@ pub(crate) fn read_shared_table(body: &[u8], bpos: &mut usize) -> Result<Huffman
     Ok(codec)
 }
 
-/// One v2 directory entry: lossless flag + compressed length + CRC-32 of
-/// the compressed payload.
-pub(crate) struct SectionDesc {
+/// One section of a v2+ blocked container as located by
+/// [`Directory::read`]: its lossless flag, the CRC-32 of its compressed
+/// payload, and where that payload sits in the container bytes.
+pub(crate) struct Section {
     pub(crate) flag: u8,
-    pub(crate) comp_len: usize,
-    pub(crate) crc: u32,
+    crc: u32,
+    pub(crate) off: usize,
+    pub(crate) len: usize,
 }
 
-pub(crate) fn read_section_desc(src: &[u8], pos: &mut usize) -> Result<SectionDesc, SzError> {
-    let flag = take(src, pos, 1)?[0];
-    let comp_len = varint::read_u64(src, pos)? as usize;
-    let crc_bytes = take(src, pos, 4)?;
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    Ok(SectionDesc {
-        flag,
-        comp_len,
-        crc,
-    })
+impl Section {
+    /// The compressed payload inside `src`.
+    pub(crate) fn payload<'a>(&self, src: &'a [u8]) -> &'a [u8] {
+        &src[self.off..self.off + self.len]
+    }
+
+    /// Verify the section CRC (a mismatch names `stage`), then undo the
+    /// lossless pass, inflating at most `max_body` bytes.
+    pub(crate) fn inflate<'a>(
+        &self,
+        src: &'a [u8],
+        stage: &'static str,
+        max_body: usize,
+    ) -> Result<Cow<'a, [u8]>, SzError> {
+        let payload = self.payload(src);
+        if crc32(payload) != self.crc {
+            return Err(DecodeError::CrcMismatch {
+                stage,
+                offset: self.off,
+            }
+            .into());
+        }
+        undo_lossless_bounded(self.flag, payload, max_body)
+    }
+
+    /// Decode block `b` from this section: section CRC, bounded lossless
+    /// undo, [`decode_block_body`], sample-count check. The one per-block
+    /// decode behind full decode, forgiving decode and [`crate::SzStore`].
+    pub(crate) fn decode_block<T: Scalar>(
+        &self,
+        src: &[u8],
+        b: usize,
+        params: &BlockedParams,
+        codec: Option<&HuffmanCodec>,
+        max_body: usize,
+    ) -> Result<Vec<T>, SzError> {
+        let body = self.inflate(src, "block payload", max_body)?;
+        let bshape = params.grid.block_shape(b);
+        let samples = decode_block_body::<T>(&body, bshape, params, codec)?;
+        if samples.len() != bshape.len() {
+            return Err(SzError::Format("blocked payload sample count mismatch"));
+        }
+        Ok(samples)
+    }
 }
 
-/// Decode a v2 body. In strict mode any damage is an error; in forgiving
-/// mode damaged blocks are NaN-filled and reported while intact blocks
-/// decode normally. The directory itself (and the shared table) have no
-/// redundancy, so damage there is unrecoverable either way.
+/// The section directory of a v2+ blocked container — the single reader
+/// behind full and forgiving decode, [`crate::SzStore`] and the
+/// inspectors.
+///
+/// On the wire the directory follows the parameter block: one `(flag,
+/// varint len, crc)` descriptor for the shared table (Huffman stages only),
+/// one per block in block order, a meta-CRC over everything from the
+/// container start through the last descriptor, then the payloads back to
+/// back in the same order.
+pub(crate) struct Directory {
+    /// The shared Huffman table (absent for the range stage, which carries
+    /// its model adaptively).
+    pub(crate) table: Option<Section>,
+    /// One section per block, in block order.
+    pub(crate) blocks: Vec<Section>,
+    /// The meta-CRC verdict.
+    meta_crc: Result<(), SzError>,
+}
+
+impl Directory {
+    /// Parse the directory starting at `pos` (just past the parameter
+    /// block) and locate every payload. A meta-CRC mismatch is recorded,
+    /// not raised ([`Directory::check_meta`]), so inspection still works on
+    /// damaged containers. Truncated descriptors or payloads are errors;
+    /// when the meta-CRC also failed, that mismatch is the error reported,
+    /// since a damaged length field is the likelier cause.
+    pub(crate) fn read(
+        src: &[u8],
+        mut pos: usize,
+        params: &BlockedParams,
+    ) -> Result<Directory, SzError> {
+        let descriptor = |pos: &mut usize| -> Result<Section, SzError> {
+            let flag = take(src, pos, 1)?[0];
+            let len = varint::read_u64(src, pos)? as usize;
+            let c = take(src, pos, 4)?;
+            Ok(Section {
+                flag,
+                crc: u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+                off: 0,
+                len,
+            })
+        };
+        let mut table = if params.stage != 1 {
+            Some(descriptor(&mut pos)?)
+        } else {
+            None
+        };
+        let n_blocks = params.grid.n_blocks();
+        let mut blocks = Vec::with_capacity(n_blocks.min(src.len()));
+        for _ in 0..n_blocks {
+            blocks.push(descriptor(&mut pos)?);
+        }
+        // The meta-CRC seals everything from the container start through
+        // the directory. Without it a flipped length varint would mis-slice
+        // every later payload and make single-block damage look like total
+        // loss.
+        let meta_end = pos;
+        let c = take(src, &mut pos, 4)?;
+        let stored = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let meta_crc = if crc32(&src[..meta_end]) == stored {
+            Ok(())
+        } else {
+            Err(DecodeError::CrcMismatch {
+                stage: "blocked directory",
+                offset: meta_end,
+            }
+            .into())
+        };
+        for s in table.iter_mut().chain(blocks.iter_mut()) {
+            s.off = pos;
+            if let Err(e) = take(src, &mut pos, s.len) {
+                return Err(meta_crc.err().unwrap_or(e));
+            }
+        }
+        Ok(Directory {
+            table,
+            blocks,
+            meta_crc,
+        })
+    }
+
+    /// The meta-CRC verdict: a mismatch means the descriptors cannot be
+    /// trusted, which decoding treats as unrecoverable.
+    pub(crate) fn check_meta(&self) -> Result<(), SzError> {
+        self.meta_crc.clone()
+    }
+
+    /// Verify, inflate and parse the shared Huffman table (`None` for the
+    /// range stage).
+    pub(crate) fn shared_table(
+        &self,
+        src: &[u8],
+        max_body: usize,
+    ) -> Result<Option<HuffmanCodec>, SzError> {
+        let Some(table) = &self.table else {
+            return Ok(None);
+        };
+        let body = table.inflate(src, "shared table", max_body)?;
+        read_shared_table(&body, &mut 0).map(Some)
+    }
+}
+
+/// Decode a v2+ body: one parallel pass of [`Section::decode_block`] over
+/// the directory's blocks, then a scatter into the output. In strict mode
+/// any damage is an error; in forgiving mode damaged blocks are NaN-filled
+/// and reported. The directory itself has no redundancy, so damage there
+/// is unrecoverable either way, and shared-table damage loses every block.
 #[allow(clippy::too_many_arguments)]
 fn decode_v2<T: Scalar>(
     src: &[u8],
-    mut pos: usize,
+    pos: usize,
     header: &Header,
     params: &BlockedParams,
     threads: usize,
     limits: &DecodeLimits,
     strict: bool,
 ) -> Result<(Field<T>, Vec<BlockDamage>), SzError> {
-    // Huffman stages (0 legacy, 2 interleaved) share one table section;
-    // the range stage (1) carries its model adaptively and has none.
-    let table_desc = if params.stage != 1 {
-        Some(read_section_desc(src, &mut pos)?)
-    } else {
-        None
-    };
-    let n_blocks = params.grid.n_blocks();
-    let mut dir = Vec::with_capacity(n_blocks.min(src.len()));
-    for _ in 0..n_blocks {
-        dir.push(read_section_desc(src, &mut pos)?);
-    }
-    // The meta-CRC seals everything from the container start through the
-    // directory. Without it a flipped length varint would mis-slice every
-    // later payload and make single-block damage look like total loss.
-    let meta_end = pos;
-    let stored = {
-        let b = take(src, &mut pos, 4)?;
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    };
-    if crc32(&src[..meta_end]) != stored {
-        return Err(DecodeError::CrcMismatch {
-            stage: "blocked directory",
-            offset: meta_end,
-        }
-        .into());
-    }
-    let table_payload = match &table_desc {
-        Some(d) => {
-            let off = pos;
-            Some((d, off, take(src, &mut pos, d.comp_len)?))
-        }
-        None => None,
-    };
-    let mut payloads = Vec::with_capacity(n_blocks);
-    for d in &dir {
-        let off = pos;
-        payloads.push((d.flag, d.crc, off, take(src, &mut pos, d.comp_len)?));
-    }
-
-    // Shared-table damage makes every block undecodable: strict errors
-    // out, forgiving reports all blocks damaged.
+    let dir = Directory::read(src, pos, params)?;
+    dir.check_meta()?;
     let max_body = limits.max_body_bytes();
-    let table_state: Result<Option<HuffmanCodec>, SzError> = match table_payload {
-        None => Ok(None),
-        Some((d, off, payload)) => {
-            if crc32(payload) != d.crc {
-                Err(DecodeError::CrcMismatch {
-                    stage: "shared table",
-                    offset: off,
-                }
-                .into())
-            } else {
-                undo_lossless_bounded(d.flag, payload, max_body).and_then(|body| {
-                    let mut tpos = 0usize;
-                    read_shared_table(&body, &mut tpos).map(Some)
-                })
-            }
+    let table = dir.shared_table(src, max_body);
+    let decoded: Vec<Result<Vec<T>, SzError>> = match &table {
+        Err(e) if strict => return Err(e.clone()),
+        Err(e) => dir.blocks.iter().map(|_| Err(e.clone())).collect(),
+        Ok(codec) => {
+            fpsnr_parallel::par_map_indexed(&dir.blocks, resolve_threads(threads), |b, section| {
+                section.decode_block::<T>(src, b, params, codec.as_ref(), max_body)
+            })
         }
-    };
-
-    let shape = header.shape;
-    let threads = resolve_threads(threads);
-    let mut damaged: Vec<BlockDamage> = Vec::new();
-    let decoded: Vec<Result<Vec<T>, SzError>> = match &table_state {
-        Err(e) => {
-            if strict {
-                return Err(e.clone());
-            }
-            (0..n_blocks)
-                .map(|_| Err(SzError::Format("shared entropy table damaged")))
-                .collect()
-        }
-        Ok(codec) => fpsnr_parallel::par_map_indexed(&payloads, threads, |b, &(flag, crc, off, payload)| {
-            if crc32(payload) != crc {
-                return Err(DecodeError::CrcMismatch {
-                    stage: "block payload",
-                    offset: off,
-                }
-                .into());
-            }
-            let body = undo_lossless_bounded(flag, payload, max_body)?;
-            decode_block_body::<T>(&body, params.grid.block_shape(b), params, codec.as_ref())
-        }),
     };
 
     // Assemble by scatter: for slab grids every scatter is one contiguous
     // copy; for v4 grids each block lands on its strided footprint.
-    let mut out = vec![T::default(); shape.len()];
+    let mut out = vec![T::default(); header.shape.len()];
+    let mut damaged: Vec<BlockDamage> = Vec::new();
     for (b, r) in decoded.into_iter().enumerate() {
         match r {
-            Ok(samples) => {
-                if samples.len() != params.grid.block_len(b) {
-                    return Err(SzError::Format("blocked payload sample count mismatch"));
-                }
-                params.grid.scatter(&samples, b, &mut out);
-            }
+            Ok(samples) => params.grid.scatter(&samples, b, &mut out),
+            Err(e) if strict => return Err(e),
             Err(e) => {
-                if strict {
-                    return Err(e);
-                }
-                let reason = match &table_state {
-                    Err(te) => format!("shared entropy table damaged: {te}"),
-                    Ok(_) => e.to_string(),
-                };
                 params.grid.fill_block(b, T::from_f64(f64::NAN), &mut out);
                 damaged.push(BlockDamage {
                     index: b,
                     // For grid blocks this is the covering row-major
                     // interval, not an exact footprint (see BlockDamage).
                     sample_range: params.grid.covering_range(b),
-                    reason,
+                    reason: if table.is_err() {
+                        format!("shared entropy table damaged: {e}")
+                    } else {
+                        e.to_string()
+                    },
                 });
             }
         }
     }
-    Ok((Field::from_vec(shape, out), damaged))
+    Ok((Field::from_vec(header.shape, out), damaged))
 }
 
 #[cfg(test)]

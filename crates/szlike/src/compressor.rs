@@ -750,18 +750,49 @@ pub fn decompress_with_limits<T: Scalar>(
     threads: usize,
     limits: &DecodeLimits,
 ) -> Result<Field<T>, SzError> {
-    let _total = fpsnr_obs::span("sz.decompress");
-    let (src, _crc_ok) = split_and_check_crc(src, true)?;
+    decode(src, threads, limits, true).map(|(field, _)| field)
+}
+
+/// The one decode dispatcher behind [`decompress_with_limits`] (strict:
+/// any damage is an error) and [`decompress_partial_with_threads`]
+/// (forgiving: a stale outer CRC and damaged v2+ blocks are reported, not
+/// fatal).
+fn decode<T: Scalar>(
+    src: &[u8],
+    threads: usize,
+    limits: &DecodeLimits,
+    strict: bool,
+) -> Result<(Field<T>, DamageReport), SzError> {
+    let _total = fpsnr_obs::span(if strict {
+        "sz.decompress"
+    } else {
+        "sz.decompress_partial"
+    });
+    let (src, crc_ok) = split_and_check_crc(src, strict)?;
     let mut pos = 0usize;
     let header = format::read_header(src, &mut pos)?;
     check_type_and_limits::<T>(&header, limits)?;
-    match header.mode {
+    let field = match header.mode {
         Mode::Constant => decompress_constant(src, pos, &header),
         Mode::Raw => decompress_raw(src, pos, &header, limits),
         Mode::Quantized => decompress_quantized(src, pos, &header, limits),
         Mode::LogPointwiseRel => decompress_log_rel(src, pos, &header, limits),
-        Mode::Blocked => crate::blocked::decompress_blocked(src, pos, &header, threads, limits),
-    }
+        Mode::Blocked => {
+            return crate::blocked::decompress_blocked(
+                src, pos, &header, threads, limits, strict, crc_ok,
+            )
+        }
+    }?;
+    let n = field.len();
+    Ok((
+        field,
+        DamageReport {
+            n_blocks: 1,
+            damaged: Vec::new(),
+            recovered_samples: n,
+            container_crc_ok: crc_ok,
+        },
+    ))
 }
 
 /// Split the 4-byte CRC-32 trailer off a container and verify it.
@@ -874,34 +905,7 @@ pub fn decompress_partial_with_threads<T: Scalar>(
     src: &[u8],
     threads: usize,
 ) -> Result<(Field<T>, DamageReport), SzError> {
-    let _total = fpsnr_obs::span("sz.decompress_partial");
-    let limits = DecodeLimits::default();
-    let (src, crc_ok) = split_and_check_crc(src, false)?;
-    let mut pos = 0usize;
-    let header = format::read_header(src, &mut pos)?;
-    check_type_and_limits::<T>(&header, &limits)?;
-    if header.mode == Mode::Blocked {
-        return crate::blocked::decompress_blocked_partial(
-            src, pos, &header, threads, &limits, crc_ok,
-        );
-    }
-    let field = match header.mode {
-        Mode::Constant => decompress_constant(src, pos, &header),
-        Mode::Raw => decompress_raw(src, pos, &header, &limits),
-        Mode::Quantized => decompress_quantized(src, pos, &header, &limits),
-        Mode::LogPointwiseRel => decompress_log_rel(src, pos, &header, &limits),
-        Mode::Blocked => unreachable!("handled above"),
-    }?;
-    let n = field.len();
-    Ok((
-        field,
-        DamageReport {
-            n_blocks: 1,
-            damaged: Vec::new(),
-            recovered_samples: n,
-            container_crc_ok: crc_ok,
-        },
-    ))
+    decode(src, threads, &DecodeLimits::default(), false)
 }
 
 pub(crate) fn take<'a>(src: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], SzError> {
@@ -926,6 +930,20 @@ pub(crate) fn read_f64(src: &[u8], pos: &mut usize) -> Result<f64, SzError> {
     let mut buf = [0u8; 8];
     buf.copy_from_slice(bytes);
     Ok(f64::from_le_bytes(buf))
+}
+
+/// Read and validate the quantizer parameters every quantized container
+/// stores: the absolute error bound (`f64`), then the bin count (varint).
+pub(crate) fn read_eb_bins(src: &[u8], pos: &mut usize) -> Result<(f64, usize), SzError> {
+    let eb = read_f64(src, pos)?;
+    if !(eb.is_finite() && eb > 0.0) {
+        return Err(SzError::Format("bad stored error bound"));
+    }
+    let bins = varint::read_u64(src, pos)? as usize;
+    if bins < 4 || bins % 2 != 0 || bins > (1 << 24) {
+        return Err(SzError::Format("bad stored bin count"));
+    }
+    Ok((eb, bins))
 }
 
 fn decompress_constant<T: Scalar>(
@@ -961,14 +979,7 @@ fn decompress_quantized<T: Scalar>(
     header: &Header,
     limits: &DecodeLimits,
 ) -> Result<Field<T>, SzError> {
-    let eb = read_f64(src, &mut pos)?;
-    if !(eb.is_finite() && eb > 0.0) {
-        return Err(SzError::Format("bad stored error bound"));
-    }
-    let bins = varint::read_u64(src, &mut pos)? as usize;
-    if bins < 4 || bins % 2 != 0 || bins > (1 << 24) {
-        return Err(SzError::Format("bad stored bin count"));
-    }
+    let (eb, bins) = read_eb_bins(src, &mut pos)?;
     let pred_tag = take(src, &mut pos, 1)?[0];
     // Tag 3 (regression) is followed by its fitted-coefficient payload; the
     // other predictors are stateless and carry no coefficients.

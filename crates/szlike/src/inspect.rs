@@ -10,8 +10,8 @@
 //! The CLI's `fpsnr inspect` prints this report; the layout it walks is
 //! specified byte-for-byte in `DESIGN.md` §13.
 
-use crate::blocked::{self, BlockPredictors};
-use crate::compressor::{read_f64, split_and_check_crc, take, undo_lossless_bounded};
+use crate::blocked::{self, BlockPredictors, Directory};
+use crate::compressor::{read_f64, split_and_check_crc, take};
 use crate::error::SzError;
 use crate::format::{self, Mode};
 use crate::predictor::{Predictor, PredictorKind, REGRESSION_COEFF_BYTES};
@@ -151,45 +151,35 @@ pub fn inspect_sections(src: &[u8]) -> Result<ContainerInfo, SzError> {
             });
             info.chunk_dims = Some(params.grid.chunk_dims());
             info.grid_dims = Some(params.grid.grid_dims());
-            match version {
-                1 => {
-                    let n_chunks = varint::read_u64(src, &mut pos)? as usize;
-                    if n_chunks == 0 || n_chunks > src.len() {
-                        return Err(SzError::Format("implausible lossless chunk count"));
-                    }
-                    for i in 0..n_chunks {
-                        let (flag, payload) = read_flagged(src, &mut pos)?;
-                        info.sections
-                            .push(section(format!("chunk {i}"), flag, payload));
-                    }
+            if version == 1 {
+                for (i, (flag, payload)) in blocked::read_v1_chunks(src, &mut pos)?
+                    .into_iter()
+                    .enumerate()
+                {
+                    info.sections
+                        .push(section(format!("chunk {i}"), flag, payload));
                 }
-                _ => {
-                    // v2+: directory of (flag, len, crc) descriptors,
-                    // meta-CRC, then the payloads back to back. Grid (v4)
-                    // containers name blocks by their grid coordinate.
-                    let mut descs = Vec::new();
-                    if params.stage != 1 {
-                        descs.push(("shared table".to_string(), blocked::read_section_desc(src, &mut pos)?));
-                    }
-                    for b in 0..params.grid.n_blocks() {
-                        let name = if version >= 4 {
-                            let c = params.grid.coord(b);
-                            match params.grid.rank() {
-                                1 => format!("block {b} @ ({})", c[0]),
-                                2 => format!("block {b} @ ({},{})", c[0], c[1]),
-                                _ => format!("block {b} @ ({},{},{})", c[0], c[1], c[2]),
-                            }
-                        } else {
-                            format!("block {b}")
-                        };
-                        descs.push((name, blocked::read_section_desc(src, &mut pos)?));
-                    }
-                    take(src, &mut pos, 4)?; // meta-CRC
-                    for (name, d) in descs {
-                        let payload = take(src, &mut pos, d.comp_len)?;
-                        let _ = d.crc;
-                        info.sections.push(section(name, d.flag, payload));
-                    }
+            } else {
+                // v2+: the directory's sections in on-wire order; the
+                // meta-CRC is not required to match. Grid (v4+)
+                // containers name blocks by their grid coordinate.
+                let dir = Directory::read(src, pos, &params)?;
+                if let Some(t) = &dir.table {
+                    info.sections
+                        .push(section("shared table".into(), t.flag, t.payload(src)));
+                }
+                for (b, s) in dir.blocks.iter().enumerate() {
+                    let name = if version >= 4 {
+                        let c = params.grid.coord(b);
+                        match params.grid.rank() {
+                            1 => format!("block {b} @ ({})", c[0]),
+                            2 => format!("block {b} @ ({},{})", c[0], c[1]),
+                            _ => format!("block {b} @ ({},{},{})", c[0], c[1], c[2]),
+                        }
+                    } else {
+                        format!("block {b}")
+                    };
+                    info.sections.push(section(name, s.flag, s.payload(src)));
                 }
             }
         }
@@ -231,44 +221,20 @@ pub fn inspect_block_predictors(src: &[u8]) -> Result<Option<Vec<String>>, SzErr
     if !matches!(params.pred, BlockPredictors::PerBlock) {
         return Ok(None);
     }
-    let table_desc = if params.stage != 1 {
-        Some(blocked::read_section_desc(src, &mut pos)?)
-    } else {
-        None
-    };
-    let mut descs = Vec::with_capacity(params.grid.n_blocks().min(src.len()));
-    for _ in 0..params.grid.n_blocks() {
-        descs.push(blocked::read_section_desc(src, &mut pos)?);
-    }
-    take(src, &mut pos, 4)?; // meta-CRC
-    if let Some(d) = table_desc {
-        take(src, &mut pos, d.comp_len)?; // skip the shared-table payload
-    }
-    Ok(Some(read_block_predictor_names(src, pos, &descs)?))
-}
-
-/// Walk the payloads behind the directory and name each block's predictor.
-fn read_block_predictor_names(
-    src: &[u8],
-    mut pos: usize,
-    descs: &[blocked::SectionDesc],
-) -> Result<Vec<String>, SzError> {
-    let mut names = Vec::with_capacity(descs.len());
-    for d in descs {
-        let payload = take(src, &mut pos, d.comp_len)?;
-        if losslesskit::crc32::crc32(payload) != d.crc {
-            names.push("damaged".to_string());
-            continue;
-        }
-        match undo_lossless_bounded(d.flag, payload, PREDICTOR_PEEK_MAX_BODY) {
-            Ok(body) => match body.first() {
-                Some(&tag) => names.push(predictor_name(tag)),
-                None => names.push("damaged".to_string()),
+    let dir = Directory::read(src, pos, &params)?;
+    let names = dir
+        .blocks
+        .iter()
+        .map(
+            |s| match s.inflate(src, "block payload", PREDICTOR_PEEK_MAX_BODY) {
+                Ok(body) => body
+                    .first()
+                    .map_or_else(|| "damaged".to_string(), |&tag| predictor_name(tag)),
+                Err(_) => "damaged".to_string(),
             },
-            Err(_) => names.push("damaged".to_string()),
-        }
-    }
-    Ok(names)
+        )
+        .collect();
+    Ok(Some(names))
 }
 
 #[cfg(test)]

@@ -71,10 +71,11 @@
 //! columns — the pair argument generalized: every input a lane reads was
 //! finalized in an earlier step, so values are bit-identical to the
 //! sequential order, and the escape stream routes through three deferred
-//! buffers (compress) or three precomputed lagging cursors (decode). At
-//! `Avx2` the four independent steady-state stencils evaluate as one
-//! 4-lane `__m256d` chain in the same operand order — lane-wise IEEE
-//! vector adds, so the same bits again. `FPSNR_SIMD=off` (or non-x86-64)
+//! buffers (compress) or three precomputed lagging cursors (decode). The
+//! quad body is scalar at every level ≥ SSE2: four independent stencil
+//! chains of plain `f64` adds in the sequential operand order, so the same
+//! bits again (a 4-lane AVX2 body measured slower and was removed, DESIGN
+//! §17.3). `FPSNR_SIMD=off` (or non-x86-64)
 //! skips the quads entirely and keeps the pair schedule with no `unsafe`
 //! reachable. Containers are byte-identical at every level; only the
 //! wall clock changes.
@@ -403,11 +404,11 @@ fn drive_range<S: ElementSink>(
             return drive_generic(shape, &model, start, end, recon, sink);
         }
     };
-    // One dispatch-level sample per range: the quad wavefront (and its
-    // AVX2 prediction body) engages at SSE2 and above; `Off` keeps the
-    // pair schedule, which is the mandatory no-`unsafe` fallback. Every
-    // level produces byte-identical containers (see the module docs), so
-    // the sample point is a pure performance choice.
+    // One dispatch-level sample per range: the quad wavefront (a scalar
+    // four-chain body at every level) engages at SSE2 and above; `Off`
+    // keeps the pair schedule, which is the mandatory no-`unsafe`
+    // fallback. Every level produces byte-identical containers (see the
+    // module docs), so the sample point is a pure performance choice.
     let level = simd::active();
     match shape {
         Shape::D1(_) => drive_1d(shape, kind, start, end, recon, sink),
@@ -971,16 +972,15 @@ fn l2_3d_pair<S: ElementSink>(
 // escape routing generalizes from one deferred buffer / lagging cursor
 // to three (`emit_lane`, `begin_quad`, `flush_quad`). In the steady
 // state the four lane predictions are mutually independent (lane t at
-// column k−t never reads anything emitted this step), which is what the
-// AVX2 body exploits: the four scalar stencil chains become one 4-lane
-// `__m256d` chain of the exact same left-associated IEEE adds, so each
-// lane's bits are the scalar bits. At `SimdLevel::Sse2` the same quad
-// schedule runs with the scalar four-chain body (the x86-64 SSE2
-// baseline the compiler already targets); at `Off` the quad is skipped
-// entirely and rows fall through to the pair/row loops — the mandatory
-// no-`unsafe` fallback. Only the first-order stencils get quads: the
-// 26-point Lorenzo² gather dominates its own chain, so the pair is
-// already port-bound there.
+// column k−t never reads anything emitted this step), so the four
+// scalar stencil chains hide each other's FP latency. The quad body is
+// scalar at every level ≥ SSE2: `Sse2` and `Avx2` run the same
+// four-chain code the x86-64 SSE2 baseline compiles to (a 4-lane
+// `__m256d` body measured slower and was removed, DESIGN §17.3). At
+// `Off` the quad is skipped entirely and rows fall through to the
+// pair/row loops — the mandatory no-`unsafe` fallback. Only the
+// first-order stencils get quads: the 26-point Lorenzo² gather
+// dominates its own chain, so the pair is already port-bound there.
 // ---------------------------------------------------------------------
 
 /// [`boundary`] for lane `lane` of a wavefront quad (lane 0 = leading).

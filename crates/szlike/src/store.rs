@@ -25,16 +25,11 @@
 //! (used by `fpsnr serve` for its hit-rate / bytes-decoded-per-byte-served
 //! report).
 
-use crate::blocked::{
-    self, decode_block_body, read_section_desc, read_shared_table, BlockedParams,
-};
-use crate::compressor::{
-    check_type_and_limits, split_and_check_crc, take, undo_lossless_bounded, DecodeLimits,
-};
-use crate::error::{DecodeError, SzError};
+use crate::blocked::{self, BlockedParams, Directory, Section};
+use crate::compressor::{check_type_and_limits, split_and_check_crc, DecodeLimits};
+use crate::error::SzError;
 use crate::format::{self, Mode};
 use crate::grid::{ChunkGrid, Region};
-use losslesskit::crc32::crc32;
 use losslesskit::huffman::HuffmanCodec;
 use ndfield::{Field, Scalar};
 use std::collections::{HashMap, VecDeque};
@@ -133,14 +128,6 @@ struct Counters {
     bytes_served: AtomicU64,
 }
 
-/// One block's location inside the container bytes.
-struct BlockSection {
-    flag: u8,
-    crc: u32,
-    off: usize,
-    len: usize,
-}
-
 /// A finished or in-flight decode other threads can rendezvous on.
 struct Flight<T> {
     done: Mutex<Option<Result<Arc<Vec<T>>, SzError>>>,
@@ -206,7 +193,7 @@ pub struct SzStore<T: Scalar> {
     version: u8,
     params: BlockedParams,
     codec: Option<HuffmanCodec>,
-    sections: Vec<BlockSection>,
+    sections: Vec<Section>,
     max_body: usize,
     budget_per_shard: usize,
     shards: Vec<Mutex<Shard<T>>>,
@@ -233,6 +220,7 @@ impl<T: Scalar> SzStore<T> {
     pub fn open_with(bytes: Vec<u8>, opts: StoreOptions) -> Result<Self, SzError> {
         // Parse phase: everything below borrows `bytes`, so collect plain
         // offsets/owned values first and build the store after.
+        let max_body = opts.limits.max_body_bytes();
         let (version, params, codec, sections) = {
             let (body, _crc_ok) = split_and_check_crc(&bytes, true)?;
             let mut pos = 0usize;
@@ -249,63 +237,10 @@ impl<T: Scalar> SzStore<T> {
                     "v1 blocked containers have no per-block directory; re-encode for random access",
                 ));
             }
-            let n_blocks = params.grid.n_blocks();
-            let table_desc = if params.stage != 1 {
-                Some(read_section_desc(body, &mut pos)?)
-            } else {
-                None
-            };
-            let mut dir = Vec::with_capacity(n_blocks.min(body.len()));
-            for _ in 0..n_blocks {
-                dir.push(read_section_desc(body, &mut pos)?);
-            }
-            // Meta-CRC over everything up to (excluding) itself: a flipped
-            // directory varint must not mis-slice every later payload.
-            let meta_end = pos;
-            let stored = {
-                let b = take(body, &mut pos, 4)?;
-                u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-            };
-            if crc32(&body[..meta_end]) != stored {
-                return Err(DecodeError::CrcMismatch {
-                    stage: "blocked directory",
-                    offset: meta_end,
-                }
-                .into());
-            }
-            let codec = match table_desc {
-                Some(d) => {
-                    let off = pos;
-                    let payload = take(body, &mut pos, d.comp_len)?;
-                    if crc32(payload) != d.crc {
-                        return Err(DecodeError::CrcMismatch {
-                            stage: "shared table",
-                            offset: off,
-                        }
-                        .into());
-                    }
-                    let table = undo_lossless_bounded(
-                        d.flag,
-                        payload,
-                        opts.limits.max_body_bytes(),
-                    )?;
-                    let mut tpos = 0usize;
-                    Some(read_shared_table(&table, &mut tpos)?)
-                }
-                None => None,
-            };
-            let mut sections = Vec::with_capacity(n_blocks);
-            for d in &dir {
-                let off = pos;
-                take(body, &mut pos, d.comp_len)?;
-                sections.push(BlockSection {
-                    flag: d.flag,
-                    crc: d.crc,
-                    off,
-                    len: d.comp_len,
-                });
-            }
-            (version, params, codec, sections)
+            let dir = Directory::read(body, pos, &params)?;
+            dir.check_meta()?;
+            let codec = dir.shared_table(body, max_body)?;
+            (version, params, codec, dir.blocks)
         };
         Ok(SzStore {
             bytes,
@@ -313,7 +248,7 @@ impl<T: Scalar> SzStore<T> {
             params,
             codec,
             sections,
-            max_body: opts.limits.max_body_bytes(),
+            max_body,
             budget_per_shard: if opts.cache_budget == 0 {
                 0
             } else {
@@ -387,48 +322,46 @@ impl<T: Scalar> SzStore<T> {
     pub fn block(&self, b: usize) -> Result<Arc<Vec<T>>, SzError> {
         debug_assert!(b < self.sections.len());
         let shard_i = b % SHARDS;
-        loop {
-            let mut shard = self.shards[shard_i].lock().expect("store shard lock");
-            if let Some(data) = shard.touch(b) {
-                drop(shard);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                fpsnr_obs::add("store.cache.hit", 1);
-                return Ok(data);
-            }
-            if let Some(flight) = shard.inflight.get(&b) {
-                let flight = Arc::clone(flight);
-                drop(shard);
-                self.counters.waits.fetch_add(1, Ordering::Relaxed);
-                fpsnr_obs::add("store.cache.wait", 1);
-                let mut done = flight.done.lock().expect("flight lock");
-                while done.is_none() {
-                    done = flight.cv.wait(done).expect("flight wait");
-                }
-                return done.clone().expect("flight published");
-            }
-            // Cold miss: claim the flight, decode outside the shard lock,
-            // publish to cache and waiters.
-            let flight = Arc::new(Flight {
-                done: Mutex::new(None),
-                cv: Condvar::new(),
-            });
-            shard.inflight.insert(b, Arc::clone(&flight));
+        let mut shard = self.shards[shard_i].lock().expect("store shard lock");
+        if let Some(data) = shard.touch(b) {
             drop(shard);
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            fpsnr_obs::add("store.cache.miss", 1);
-
-            let result = self.decode_block_uncached(b).map(Arc::new);
-
-            let mut shard = self.shards[shard_i].lock().expect("store shard lock");
-            shard.inflight.remove(&b);
-            if let Ok(data) = &result {
-                self.insert_and_evict(&mut shard, b, Arc::clone(data));
-            }
-            drop(shard);
-            *flight.done.lock().expect("flight lock") = Some(result.clone());
-            flight.cv.notify_all();
-            return result;
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            fpsnr_obs::add("store.cache.hit", 1);
+            return Ok(data);
         }
+        if let Some(flight) = shard.inflight.get(&b) {
+            let flight = Arc::clone(flight);
+            drop(shard);
+            self.counters.waits.fetch_add(1, Ordering::Relaxed);
+            fpsnr_obs::add("store.cache.wait", 1);
+            let mut done = flight.done.lock().expect("flight lock");
+            while done.is_none() {
+                done = flight.cv.wait(done).expect("flight wait");
+            }
+            return done.clone().expect("flight published");
+        }
+        // Cold miss: claim the flight, decode outside the shard lock,
+        // publish to cache and waiters.
+        let flight = Arc::new(Flight {
+            done: Mutex::new(None),
+            cv: Condvar::new(),
+        });
+        shard.inflight.insert(b, Arc::clone(&flight));
+        drop(shard);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        fpsnr_obs::add("store.cache.miss", 1);
+
+        let result = self.decode_block_uncached(b).map(Arc::new);
+
+        let mut shard = self.shards[shard_i].lock().expect("store shard lock");
+        shard.inflight.remove(&b);
+        if let Ok(data) = &result {
+            self.insert_and_evict(&mut shard, b, Arc::clone(data));
+        }
+        drop(shard);
+        *flight.done.lock().expect("flight lock") = Some(result.clone());
+        flight.cv.notify_all();
+        result
     }
 
     fn insert_and_evict(&self, shard: &mut Shard<T>, b: usize, data: Arc<Vec<T>>) {
@@ -479,22 +412,13 @@ impl<T: Scalar> SzStore<T> {
     /// lossless undo, shared per-block decode routine).
     fn decode_block_uncached(&self, b: usize) -> Result<Vec<T>, SzError> {
         let _span = fpsnr_obs::span("store.decode");
-        let sec = &self.sections[b];
-        let payload = &self.bytes[sec.off..sec.off + sec.len];
-        if crc32(payload) != sec.crc {
-            return Err(DecodeError::CrcMismatch {
-                stage: "block payload",
-                offset: sec.off,
-            }
-            .into());
-        }
-        let body = undo_lossless_bounded(sec.flag, payload, self.max_body)?;
-        let bshape = self.params.grid.block_shape(b);
-        let samples =
-            decode_block_body::<T>(&body, bshape, &self.params, self.codec.as_ref())?;
-        if samples.len() != bshape.len() {
-            return Err(SzError::Format("blocked payload sample count mismatch"));
-        }
+        let samples = self.sections[b].decode_block::<T>(
+            &self.bytes,
+            b,
+            &self.params,
+            self.codec.as_ref(),
+            self.max_body,
+        )?;
         self.counters.blocks_decoded.fetch_add(1, Ordering::Relaxed);
         let decoded = (samples.len() * T::BYTES) as u64;
         self.counters
@@ -534,6 +458,7 @@ mod tests {
     use super::*;
     use crate::compressor::{compress, decompress};
     use crate::config::{ErrorBound, SzConfig};
+    use losslesskit::crc32::crc32;
     use ndfield::{Field, Shape};
 
     fn field_3d(d0: usize, d1: usize, d2: usize) -> Field<f32> {

@@ -12,14 +12,14 @@
 
 mod common;
 
-use common::{golden_set, grain_field, mixed_golden_set, Golden, GoldenField};
+use common::{golden_set, grain_field, grid_golden_set, mixed_golden_set, Golden, GoldenField};
 use losslesskit::crc32::crc32;
-use ndfield::Shape;
+use ndfield::{Scalar, Shape};
 use proptest::prelude::*;
 use szlike::format::{self, Mode};
 use szlike::{
     decompress, decompress_partial, decompress_with_limits, DamageReport, DecodeError,
-    DecodeLimits, SzError,
+    DecodeLimits, SzError, SzStore,
 };
 
 /// Seal `body` into a container-shaped byte string by appending the CRC-32
@@ -45,6 +45,53 @@ fn strict_decode_ok(g: &Golden, bytes: &[u8]) -> bool {
         GoldenField::F32(_) => decompress::<f32>(bytes).is_ok(),
         GoldenField::F64(_) => decompress::<f64>(bytes).is_ok(),
     }
+}
+
+/// Whether [`SzStore::open`] accepts the bytes, dispatched on the
+/// fixture's scalar type.
+fn store_open_ok(g: &Golden, bytes: &[u8]) -> bool {
+    match g.field {
+        GoldenField::F32(_) => SzStore::<f32>::open(bytes).is_ok(),
+        GoldenField::F64(_) => SzStore::<f64>::open(bytes).is_ok(),
+    }
+}
+
+/// The random-access store as one more reader of possibly damaged bytes.
+/// When [`SzStore::open`] accepts them, `store.block(b)` must fail for
+/// exactly the blocks the forgiving decode reports damaged and return the
+/// forgiving decode's samples bit for bit for every other block. When it
+/// refuses them, the strict decode must refuse them too.
+fn store_agrees_with_partial<T: Scalar>(bytes: &[u8]) -> Result<(), String> {
+    let Ok(store) = SzStore::<T>::open(bytes) else {
+        return match decompress::<T>(bytes) {
+            Ok(_) => Err("store refused bytes the strict decode accepts".to_string()),
+            Err(_) => Ok(()),
+        };
+    };
+    let (field, rep) = decompress_partial::<T>(bytes)
+        .map_err(|e| format!("store opened but the forgiving decode failed: {e}"))?;
+    let grid = store.grid();
+    let mut want = Vec::new();
+    for b in 0..grid.n_blocks() {
+        let damaged = rep.damaged.iter().any(|d| d.index == b);
+        match store.block(b) {
+            Err(_) if damaged => {}
+            Err(e) => return Err(format!("store failed on recovered block {b}: {e}")),
+            Ok(_) if damaged => return Err(format!("store decoded damaged block {b}")),
+            Ok(got) => {
+                grid.gather(field.as_slice(), b, &mut want);
+                let same = got.len() == want.len()
+                    && got
+                        .iter()
+                        .zip(&want)
+                        .all(|(a, w)| a.to_bits_u64() == w.to_bits_u64());
+                if !same {
+                    return Err(format!("store block {b} differs from the forgiving decode"));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Partial decode dispatched on the fixture's scalar type; returns only the
@@ -84,6 +131,11 @@ fn truncations_at_every_prefix_fail_cleanly() {
                     g.name
                 );
             }
+            assert!(
+                !store_open_ok(&g, prefix),
+                "{}: store opened a {cut}-byte prefix",
+                g.name
+            );
         }
     }
 }
@@ -159,6 +211,43 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    /// A resealed single-bit flip of a v3 slab, v4 grid or v5 mixed
+    /// container: the random-access store must agree with the forgiving
+    /// decode block for block (see [`store_agrees_with_partial`]).
+    #[test]
+    fn store_agrees_with_partial_decode_after_bit_flips(
+        fixture in 0usize..3,
+        pos01 in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let set: Vec<Golden> = golden_set()
+            .into_iter()
+            .filter(|g| g.name == "blocked_f32_2d")
+            .chain(grid_golden_set().into_iter().filter(|g| g.name == "grid_f64_2d"))
+            .chain(mixed_golden_set().into_iter().filter(|g| g.name == "mixed_auto_f32_2d"))
+            .collect();
+        prop_assert_eq!(set.len(), 3);
+        let g = &set[fixture];
+        let bytes = g.compress();
+        // Flip anywhere but the outer CRC trailer, then reseal it so the
+        // flip reaches the directory and block parsers.
+        let idx = ((pos01 * (bytes.len() - 4) as f64) as usize).min(bytes.len() - 5);
+        let mut flipped = flip_bit(&bytes, idx, bit);
+        fix_outer_crc(&mut flipped);
+        let agreed = match g.field {
+            GoldenField::F32(_) => store_agrees_with_partial::<f32>(&flipped),
+            GoldenField::F64(_) => store_agrees_with_partial::<f64>(&flipped),
+        };
+        prop_assert!(
+            agreed.is_ok(),
+            "{}: flip at byte {idx} bit {bit}: {:?}",
+            g.name,
+            agreed
+        );
     }
 }
 
@@ -490,6 +579,11 @@ fn v5_truncations_at_every_prefix_fail_cleanly() {
                     g.name
                 );
             }
+            assert!(
+                !store_open_ok(&g, prefix),
+                "{}: store opened a {cut}-byte prefix",
+                g.name
+            );
         }
     }
 }
