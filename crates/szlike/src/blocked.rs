@@ -33,15 +33,16 @@
 //! decoding with any thread count produces identical samples.
 
 use crate::compressor::{
-    apply_lossless, choose_intervals, quantized_walk_on, read_eb_bins, read_escape_values,
-    replay_quantized_walk, select_model, take, undo_lossless_bounded, write_escapes, BlockDamage,
-    CompressionDetail, DamageReport, DecodeLimits, WalkOutput,
+    apply_lossless, production_walk, read_eb_bins, read_escape_values, replay_quantized_walk, take,
+    undo_lossless_bounded, write_escapes, BlockDamage, CompressionDetail, DamageReport,
+    DecodeLimits, WalkOutput,
 };
 use crate::config::{EntropyCoder, SzConfig};
 use crate::error::{DecodeError, SzError};
 use crate::format::{self, Header, Mode};
 use crate::grid::ChunkGrid;
 use crate::predictor::{Predictor, PredictorKind, PredictorModel, REGRESSION_COEFF_BYTES};
+use crate::select;
 use losslesskit::crc32::crc32;
 use losslesskit::huffman::HuffmanCodec;
 use losslesskit::{mshuf, range, varint};
@@ -197,9 +198,11 @@ fn encode_block<T: Scalar>(
 /// buffer first.
 ///
 /// Predictor selection happens here, per block, inside the walk task:
-/// [`select_model`] depends only on the block's samples and the config, so
-/// the chosen models — and therefore the container bytes — are identical
-/// for any thread count.
+/// [`select::model`] depends only on the block's samples and the config,
+/// so the chosen models — and therefore the container bytes — are
+/// identical for any thread count. The production walk continues the
+/// bake-off winner's slab walk; a block of at most [`select::SCORE_CAP`]
+/// samples is one slab, so its bake-off is its whole walk.
 fn run_walks<T: Scalar>(
     field: &Field<T>,
     grid: &ChunkGrid,
@@ -224,10 +227,9 @@ fn run_walks<T: Scalar>(
             grid.gather(data, b, &mut gathered);
             &gathered
         };
-        let model = select_model(samples, bshape, cfg.predictor, eb, bins);
-        let out = quantized_walk_on(
-            samples, bshape, eb, bins, model, cfg.escape, false, &mut recon, cfg.kernel,
-        );
+        let sel = select::model(samples, bshape, cfg.predictor, eb, bins);
+        let model = sel.model;
+        let out = production_walk(samples, bshape, eb, bins, sel, cfg, &mut recon);
         arena
             .lock()
             .expect("walk arena lock")
@@ -252,7 +254,7 @@ pub(crate) fn compress_blocked<T: Scalar>(
     // where each block carries the model it actually replayed.
     let predict_span = fpsnr_obs::span("sz.predict");
     let bins = if cfg.auto_intervals {
-        choose_intervals(field, eb_abs, cfg.quant_bins)
+        select::intervals(field, eb_abs, cfg.quant_bins)
     } else {
         cfg.quant_bins
     };

@@ -17,10 +17,9 @@ use crate::config::{EntropyCoder, ErrorBound, EscapeCoding, KernelMode, Lossless
 use crate::error::{DecodeError, SzError};
 use crate::format::{self, Header, Mode};
 use crate::kernels;
-use crate::predictor::{
-    fit_regression, Predictor, PredictorKind, PredictorModel, REGRESSION_COEFF_BYTES,
-};
+use crate::predictor::{Predictor, PredictorModel, REGRESSION_COEFF_BYTES};
 use crate::quantizer::{LinearQuantizer, ESCAPE};
+use crate::select;
 use crate::unpredictable;
 use losslesskit::bitio::{BitReader, BitWriter};
 use losslesskit::huffman::HuffmanCodec;
@@ -178,6 +177,38 @@ pub(crate) fn quantized_walk_on<T: Scalar>(
     }
 }
 
+/// The production walk over a whole field or block: continues the `Auto`
+/// bake-off winner's slab walk when it is a prefix of this walk — the
+/// escape coding is the scorer's `Exact` and the kernel is `Fused` (the
+/// `Reference` oracle always walks independently) — and walks from the
+/// start otherwise. Either way the output is the same. `recon` receives the
+/// reconstruction.
+pub(crate) fn production_walk<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    eb: f64,
+    bins: usize,
+    sel: select::Selection<T>,
+    cfg: &SzConfig,
+    recon: &mut Vec<f64>,
+) -> WalkOutput<T> {
+    match sel.walk {
+        Some(slab) if cfg.escape == EscapeCoding::Exact && cfg.kernel == KernelMode::Fused => {
+            fpsnr_obs::add("sz.select.resumed_samples", slab.codes.len() as u64);
+            let st = kernels::walk_fused_resume(data, shape, eb, bins, sel.model, cfg.escape, slab);
+            *recon = st.recon;
+            WalkOutput {
+                codes: st.codes,
+                unpred: st.unpred,
+                pred_errors: None,
+            }
+        }
+        _ => quantized_walk_on(
+            data, shape, eb, bins, sel.model, cfg.escape, false, recon, cfg.kernel,
+        ),
+    }
+}
+
 /// Compress a field.
 ///
 /// # Errors
@@ -324,228 +355,39 @@ pub(crate) fn undo_lossless_bounded(
     }
 }
 
-/// Share of sampled prediction errors the chosen bin grid must cover (SZ's
-/// `predThreshold`; 0.97, the value SZ's shipped `sz.config` uses).
-const PRED_THRESHOLD: f64 = 0.97;
-
-/// SZ 1.4's `optimize_intervals`: sample prediction errors (predicting from
-/// *original* neighbours — cheap, and accurate enough for selection) and
-/// pick the smallest power-of-two bin count whose grid covers at least
-/// [`PRED_THRESHOLD`] of them. Points the chosen grid cannot represent
-/// become bit-exact escapes during the real pass.
-pub(crate) fn choose_intervals<T: Scalar>(field: &Field<T>, eb: f64, cap: usize) -> usize {
-    const TARGET_SAMPLES: usize = 65_536;
-    let n = field.len();
-    let data = field.as_slice();
-    let shape = field.shape();
-    let stride = (n / TARGET_SAMPLES).max(1);
-    let at = |lin: usize| data[lin].to_f64();
-    let mut qmags: Vec<u64> = Vec::with_capacity(n / stride + 1);
-    let mut lin = 0usize;
-    while lin < n {
-        let pred = match shape {
-            Shape::D1(_) => {
-                if lin == 0 {
-                    0.0
-                } else {
-                    at(lin - 1)
-                }
-            }
-            Shape::D2(_, cols) => {
-                let (i, j) = (lin / cols, lin % cols);
-                match (i > 0, j > 0) {
-                    (false, false) => 0.0,
-                    (false, true) => at(lin - 1),
-                    (true, false) => at(lin - cols),
-                    (true, true) => at(lin - 1) + at(lin - cols) - at(lin - cols - 1),
-                }
-            }
-            Shape::D3(_, d1, d2) => {
-                let k = lin % d2;
-                let j = (lin / d2) % d1;
-                let i = lin / (d1 * d2);
-                let g = |c: bool, off: usize| if c { at(lin - off) } else { 0.0 };
-                g(k > 0, 1) + g(j > 0, d2) + g(i > 0, d1 * d2)
-                    - g(j > 0 && k > 0, d2 + 1)
-                    - g(i > 0 && k > 0, d1 * d2 + 1)
-                    - g(i > 0 && j > 0, d1 * d2 + d2)
-                    + g(i > 0 && j > 0 && k > 0, d1 * d2 + d2 + 1)
-            }
-        };
-        let err = at(lin) - pred;
-        let qmag = if err.is_finite() {
-            (err.abs() / (2.0 * eb)).round().min(u64::MAX as f64) as u64
-        } else {
-            u64::MAX
-        };
-        qmags.push(qmag);
-        lin += stride;
-    }
-    qmags.sort_unstable();
-    let need = ((qmags.len() as f64) * PRED_THRESHOLD).ceil() as usize;
-    let mut bins = 32usize;
-    while bins < cap {
-        let radius = (bins / 2 - 1) as u64;
-        // Samples covered: qmag <= radius.
-        let covered = qmags.partition_point(|&q| q <= radius);
-        if covered >= need {
-            return bins;
-        }
-        bins *= 2;
-    }
-    cap
-}
-
-/// Largest sample count the `Auto` bake-off walks per candidate. Above
-/// this, scoring runs on the leading whole-row slab that fits the cap —
-/// prediction only ever looks backward, so the slab's codes are exactly
-/// the codes the real walk would emit for those samples.
-const SELECT_SCORE_CAP: usize = 65_536;
-
-/// Handicap (bits/value) a challenger must clear before it unseats
-/// Lorenzo¹ in the `Auto` bake-off. The cost model scores the entropy of
-/// the code stream in isolation, but the container's LZ tail typically
-/// recovers several tenths of a bit/value more from Lorenzo's spatially
-/// correlated codes than from coefficient-predictor codes — without the
-/// handicap, sub-half-bit "wins" on the entropy score turned into
-/// 5–16% *larger* containers on smooth GRF textures. Calibrated against
-/// the shared evaluation corpora (see `tests/fixed_psnr_accuracy.rs`).
-const SELECT_LZ_SLACK_BITS: f64 = 0.5;
-
-/// The leading whole-row slab of `shape` holding at most `cap` samples
-/// (never less than one row/plane), with its sample count.
-fn score_slab(shape: Shape, cap: usize) -> (Shape, usize) {
-    match shape {
-        Shape::D1(n) => {
-            let n = n.min(cap).max(1);
-            (Shape::D1(n), n)
-        }
-        Shape::D2(r, c) => {
-            let r = (cap / c.max(1)).clamp(1, r);
-            (Shape::D2(r, c), r * c)
-        }
-        Shape::D3(a, b, c) => {
-            let per = (b * c).max(1);
-            let a = (cap / per).clamp(1, a);
-            (Shape::D3(a, b, c), a * per)
-        }
-    }
-}
-
-/// Resolve a requested `PredictorKind` into the concrete [`PredictorModel`]
-/// the walk will replay. Forced kinds map directly (Regression fits its
-/// hyperplane here); `Auto` runs a cost-driven bake-off.
-///
-/// `Auto` runs the *real* prediction–quantization walk (reconstruction
-/// feedback included) once per candidate over a leading slab of at most
-/// [`SELECT_SCORE_CAP`] samples, then estimates coded bits/value from the
-/// resulting code magnitudes with
-/// [`crate::ratemodel::candidate_bits_per_value`] — the same
-/// entropy-of-quantized-magnitudes model the rate pilot uses — and picks
-/// the cheapest. Walking for real instead of sampling residuals against
-/// the original data matters at coarse bounds: there the quantization
-/// noise a neighbour stencil feeds back is the *same* noise it just
-/// removed (piecewise-constant reconstructions predict themselves
-/// exactly), which an additive analytic penalty systematically
-/// overcharges — coarse-bound Lorenzo looked ~½ bit/value worse than it
-/// is and lost bake-offs it should have won.
-///
-/// Regression additionally pays its coefficient payload up front:
-/// `8·REGRESSION_COEFF_BYTES / n` extra bits/value.
-///
-/// Ties break deterministically toward the earlier candidate in the fixed
-/// order Lorenzo¹, Lorenzo², Regression, Spline, so containers are
-/// byte-reproducible across runs and thread counts.
-pub(crate) fn select_model<T: Scalar>(
-    data: &[T],
-    shape: Shape,
-    kind: PredictorKind,
-    eb: f64,
-    bins: usize,
-) -> PredictorModel {
-    match kind {
-        PredictorKind::Lorenzo1 => return PredictorModel::Lorenzo1,
-        PredictorKind::Lorenzo2 => return PredictorModel::Lorenzo2,
-        PredictorKind::Spline => return PredictorModel::Spline,
-        PredictorKind::Regression => {
-            return PredictorModel::Regression(fit_regression(data, shape))
-        }
-        PredictorKind::Auto => {}
-    }
-    let n = data.len();
-    if n == 0 || eb <= 0.0 {
-        return PredictorModel::Lorenzo1;
-    }
-    let (slab_shape, slab_len) = score_slab(shape, SELECT_SCORE_CAP);
-    let slab = &data[..slab_len.min(n)];
-    let regression = PredictorModel::Regression(fit_regression(data, shape));
-    let candidates: [(PredictorModel, f64); 4] = [
-        (PredictorModel::Lorenzo1, 0.0),
-        (PredictorModel::Lorenzo2, SELECT_LZ_SLACK_BITS),
-        (
-            regression,
-            SELECT_LZ_SLACK_BITS + (REGRESSION_COEFF_BYTES * 8) as f64 / n as f64,
-        ),
-        (PredictorModel::Spline, SELECT_LZ_SLACK_BITS),
-    ];
-    let radius = (bins as u64 / 2).saturating_sub(1).max(1);
-    let code_radius = (bins / 2) as i64;
-    let sample_bits = (T::BYTES * 8) as f64;
-    let mut best = PredictorModel::Lorenzo1;
-    let mut best_cost = f64::INFINITY;
-    let mut recon = Vec::new();
-    let mut qmags = Vec::with_capacity(slab.len());
-    for (model, extra_bits) in candidates {
-        let walk = quantized_walk_on(
-            slab,
-            slab_shape,
-            eb,
-            bins,
-            model,
-            EscapeCoding::Exact,
-            false,
-            &mut recon,
-            KernelMode::Fused,
-        );
-        qmags.clear();
-        for &code in &walk.codes {
-            qmags.push(if code == 0 {
-                u64::MAX
-            } else {
-                (code as i64 - code_radius).unsigned_abs()
-            });
-        }
-        let cost =
-            crate::ratemodel::candidate_bits_per_value(&qmags, radius, sample_bits, extra_bits);
-        if cost < best_cost {
-            best_cost = cost;
-            best = model;
-        }
-    }
-    best
-}
-
 fn compress_quantized<T: Scalar>(
     field: &Field<T>,
     eb_abs: f64,
     vr: f64,
     cfg: &SzConfig,
 ) -> Result<(Vec<u8>, CompressionDetail), SzError> {
-    // Stage 1 (sz.predict): per-field model selection — adaptive interval
-    // sizing and predictor choice, both sampling the original data.
+    // Stage 1 (sz.predict): per-field selection — adaptive interval
+    // sizing, then the predictor (the `Auto` bake-off walks a leading slab).
     let predict_span = fpsnr_obs::span("sz.predict");
     let bins = if cfg.auto_intervals {
-        choose_intervals(field, eb_abs, cfg.quant_bins)
+        select::intervals(field, eb_abs, cfg.quant_bins)
     } else {
         cfg.quant_bins
     };
-    let model = select_model(field.as_slice(), field.shape(), cfg.predictor, eb_abs, bins);
+    let sel = select::model(field.as_slice(), field.shape(), cfg.predictor, eb_abs, bins);
+    let model = sel.model;
     drop(predict_span);
 
     // Stage 2 (sz.quantize): the prediction + linear-scaling quantization
-    // walk over every sample, replaying whichever predictor was selected.
+    // walk over every sample, replaying whichever predictor was selected
+    // and continuing the bake-off winner's slab walk where it can.
     let quantize_span = fpsnr_obs::span("sz.quantize");
-    let walk = quantized_walk(field, eb_abs, bins, model, cfg.escape, false, cfg.kernel);
+    let mut recon = Vec::new();
+    let walk = production_walk(
+        field.as_slice(),
+        field.shape(),
+        eb_abs,
+        bins,
+        sel,
+        cfg,
+        &mut recon,
+    );
+    drop(recon);
     drop(quantize_span);
 
     // Stage 3 (sz.encode): entropy stage over the code alphabet
@@ -1266,13 +1108,14 @@ pub fn prediction_errors<T: Scalar>(
             "prediction-error probe needs a positive bound".to_string(),
         ));
     }
-    let model = select_model(
+    let model = select::model(
         field.as_slice(),
         field.shape(),
         cfg.predictor,
         eb_abs,
         cfg.quant_bins,
-    );
+    )
+    .model;
     let walk = quantized_walk(
         field,
         eb_abs,
@@ -1312,13 +1155,14 @@ pub fn quantization_probe<T: Scalar>(
     let n = field.len();
     let shape = field.shape();
     let quant = LinearQuantizer::new(eb_abs, cfg.quant_bins);
-    let model = select_model(
+    let model = select::model(
         field.as_slice(),
         shape,
         cfg.predictor,
         eb_abs,
         cfg.quant_bins,
-    );
+    )
+    .model;
     let data = field.as_slice();
     let mut recon = vec![0.0f64; n];
     let mut pe = Vec::with_capacity(n);

@@ -75,15 +75,32 @@
 //! quad body is scalar at every level ≥ SSE2: four independent stencil
 //! chains of plain `f64` adds in the sequential operand order, so the same
 //! bits again (a 4-lane AVX2 body measured slower and was removed, DESIGN
-//! §17.3). `FPSNR_SIMD=off` (or non-x86-64)
-//! skips the quads entirely and keeps the pair schedule with no `unsafe`
-//! reachable. Containers are byte-identical at every level; only the
-//! wall clock changes.
+//! §17.3). `FPSNR_SIMD=off` (or non-x86-64) skips the Lorenzo quads
+//! entirely and keeps the pair schedule with no `unsafe` reachable.
+//! Spline rows get a quad too, at every level: past their three fallback
+//! columns a spline row reads only itself, so its four lanes step in
+//! lockstep with no lag, and the quad is safe code. Containers are
+//! byte-identical at every level; only the wall clock changes.
+//!
+//! # Coefficient and spline rows
+//!
+//! Regression and spline models run their own row drivers
+//! (`drive_regression`, `drive_spline`): the loops carry the coordinates
+//! and the spline's three predecessors, and evaluate the very expressions
+//! of `regression_predict`/`spline_predict` — no fused multiply-add, no
+//! reordering — so they match the reference walk bit for bit.
+//!
+//! # Resuming a walk
+//!
+//! No predictor reads the outer extent of the shape, so the walk over the
+//! leading whole-row slab of a field is exactly the prefix of the walk
+//! over the field. `walk_fused_resume` continues such a slab walk (the
+//! `Auto` bake-off winner's, see [`crate::select`]) over the rest.
 
 use crate::compressor::quantized_walk_on;
 use crate::config::{EscapeCoding, KernelMode};
 use crate::error::SzError;
-use crate::predictor::{predict_with, Predictor, PredictorKind, PredictorModel};
+use crate::predictor::{predict, predict_with, Predictor, PredictorKind, PredictorModel};
 use crate::quantizer::{LinearQuantizer, ESCAPE};
 use crate::unpredictable;
 use losslesskit::simd::{self, SimdLevel};
@@ -163,7 +180,7 @@ trait ElementSink {
 /// The walk spells it out because the SSE2 baseline lowers `f64::round`
 /// to an out-of-line soft-float call sitting on the hot loop's serial
 /// dependency chain; the fused form is a native add + `cvttsd2si`.
-const ROUND_MAGIC: f64 = 0.499_999_999_999_999_94;
+pub(crate) const ROUND_MAGIC: f64 = 0.499_999_999_999_999_94;
 
 /// Sink for the compression walk: quantize the prediction error, emit the
 /// code, stash escapes.
@@ -393,23 +410,21 @@ fn drive_range<S: ElementSink>(
     if start >= end {
         return Ok(());
     }
+    // One dispatch-level sample per range: the Lorenzo quad wavefronts
+    // (scalar four-chain bodies at every level) engage at SSE2 and above;
+    // `Off` keeps the pair/row schedules, which are the mandatory
+    // no-`unsafe` fallback. Every level produces byte-identical containers
+    // (see the module docs), so the sample point is a pure performance
+    // choice.
+    let level = simd::active();
     let kind = match model {
         PredictorModel::Lorenzo1 => PredictorKind::Lorenzo1,
         PredictorModel::Lorenzo2 => PredictorKind::Lorenzo2,
-        // Coefficient and spline models take the shared per-element driver:
-        // no specialized wavefront loops, but the same predict function and
-        // the same emit as the reference walk, so fused and reference
-        // containers are bit-identical by construction.
-        PredictorModel::Regression(_) | PredictorModel::Spline => {
-            return drive_generic(shape, &model, start, end, recon, sink);
+        PredictorModel::Regression(c) => {
+            return drive_regression(shape, &c, start, end, recon, sink)
         }
+        PredictorModel::Spline => return drive_spline(shape, start, end, recon, sink),
     };
-    // One dispatch-level sample per range: the quad wavefront (a scalar
-    // four-chain body at every level) engages at SSE2 and above; `Off`
-    // keeps the pair schedule, which is the mandatory no-`unsafe`
-    // fallback. Every level produces byte-identical containers (see the
-    // module docs), so the sample point is a pure performance choice.
-    let level = simd::active();
     match shape {
         Shape::D1(_) => drive_1d(shape, kind, start, end, recon, sink),
         Shape::D2(_, cols) => walk_2d(kind, cols, start, end, recon, sink, level),
@@ -417,20 +432,155 @@ fn drive_range<S: ElementSink>(
     }
 }
 
-/// Per-element driver for predictors without specialized region loops:
-/// exactly the reference walk's predict → emit → write-back sequence.
-fn drive_generic<S: ElementSink>(
+/// Regression rows: the plane is evaluated with
+/// [`crate::predictor::regression_predict`]'s exact left-associated
+/// expression `c₀ + c₁·i + c₂·j + c₃·k`, but the loops carry the
+/// coordinates instead of dividing them out of every linear index. The
+/// prediction never reads `recon`, so rows need no wavefront schedule.
+fn drive_regression<S: ElementSink>(
     shape: Shape,
-    model: &PredictorModel,
+    c: &[f64; 4],
     start: usize,
     end: usize,
     recon: &mut [f64],
     sink: &mut S,
 ) -> Result<(), SzError> {
-    for lin in start..end {
-        let pred = model.predict(recon, shape, lin);
-        recon[lin] = sink.emit(lin, pred)?;
+    match shape {
+        Shape::D1(_) => {
+            for (slot, lin) in recon[start..end].iter_mut().zip(start..end) {
+                *slot = sink.emit(lin, c[0] + c[1] * lin as f64)?;
+            }
+        }
+        Shape::D2(_, cols) => {
+            for i in start / cols..end / cols {
+                let row = i * cols;
+                let base = c[0] + c[1] * i as f64;
+                for j in 0..cols {
+                    let pred = base + c[2] * j as f64;
+                    recon[row + j] = sink.emit(row + j, pred)?;
+                }
+            }
+        }
+        Shape::D3(_, d1, d2) => {
+            for r in start / d2..end / d2 {
+                let row = r * d2;
+                let base = c[0] + c[1] * (r / d1) as f64 + c[2] * (r % d1) as f64;
+                for k in 0..d2 {
+                    let pred = base + c[3] * k as f64;
+                    recon[row + k] = sink.emit(row + k, pred)?;
+                }
+            }
+        }
     }
+    Ok(())
+}
+
+/// Spline rows along the fastest axis. The first three columns of a row
+/// take [`crate::predictor::spline_predict`]'s first-order Lorenzo
+/// fallback through the reference stencil; the rest evaluate its cubic
+/// `3·r[k−1] − 3·r[k−2] + r[k−3]` on the three values the loop carries.
+/// Rows run four at a time ([`spline_quad`]); the row loop takes the
+/// fewer than four that remain.
+fn drive_spline<S: ElementSink>(
+    shape: Shape,
+    start: usize,
+    end: usize,
+    recon: &mut [f64],
+    sink: &mut S,
+) -> Result<(), SzError> {
+    let row_len = match shape {
+        Shape::D1(_) => {
+            for lin in start..end.min(3) {
+                recon[lin] = sink.emit(lin, predict(recon, shape, lin))?;
+            }
+            return spline_run(start.max(3), end, recon, sink);
+        }
+        Shape::D2(_, cols) => cols,
+        Shape::D3(_, _, d2) => d2,
+    };
+    let (mut r, r1) = (start / row_len, end / row_len);
+    if row_len >= 4 {
+        while r + 3 < r1 {
+            spline_quad(shape, row_len, r * row_len, recon, sink)?;
+            r += 4;
+        }
+    }
+    while r < r1 {
+        let row = r * row_len;
+        for lin in row..row + row_len.min(3) {
+            recon[lin] = sink.emit(lin, predict(recon, shape, lin))?;
+        }
+        spline_run(row + 3, row + row_len, recon, sink)?;
+        r += 1;
+    }
+    Ok(())
+}
+
+/// The spline's cubic over `start..end`, all of whose elements have three
+/// same-row predecessors (an empty range when `start ≥ end`).
+fn spline_run<S: ElementSink>(
+    start: usize,
+    end: usize,
+    recon: &mut [f64],
+    sink: &mut S,
+) -> Result<(), SzError> {
+    if start >= end {
+        return Ok(());
+    }
+    let (mut p1, mut p2, mut p3) = (recon[start - 1], recon[start - 2], recon[start - 3]);
+    for (slot, lin) in recon[start..end].iter_mut().zip(start..end) {
+        let r = sink.emit(lin, 3.0 * p1 - 3.0 * p2 + p3)?;
+        *slot = r;
+        p3 = p2;
+        p2 = p1;
+        p1 = r;
+    }
+    Ok(())
+}
+
+/// Spline rows `rowa/row_len` through `+3` as a quad (`row_len ≥ 4`). The
+/// three fallback columns of each row read the row above, so they run
+/// first, row by row in scan order; from column 3 on a row reads only
+/// itself, so the four rows step their cubics in lockstep — four
+/// independent chains, each lane carrying its own three predecessors.
+/// Escapes route through the lane hooks exactly as in [`l1_quad`].
+fn spline_quad<S: ElementSink>(
+    shape: Shape,
+    row_len: usize,
+    rowa: usize,
+    recon: &mut [f64],
+    sink: &mut S,
+) -> Result<(), SzError> {
+    sink.begin_quad(rowa, row_len);
+    for lane in 0..4 {
+        let row = rowa + lane * row_len;
+        for lin in row..row + 3 {
+            recon[lin] = sink.emit_lane(lane, lin, predict(recon, shape, lin))?;
+        }
+    }
+    let (a, rest) = recon[rowa..rowa + 4 * row_len].split_at_mut(row_len);
+    let (b, rest) = rest.split_at_mut(row_len);
+    let (c, d) = rest.split_at_mut(row_len);
+    let (mut a1, mut a2, mut a3) = (a[2], a[1], a[0]);
+    let (mut b1, mut b2, mut b3) = (b[2], b[1], b[0]);
+    let (mut c1, mut c2, mut c3) = (c[2], c[1], c[0]);
+    let (mut d1, mut d2, mut d3) = (d[2], d[1], d[0]);
+    let (rowb, rowc, rowd) = (rowa + row_len, rowa + 2 * row_len, rowa + 3 * row_len);
+    for k in 3..row_len {
+        let ra = sink.emit(rowa + k, 3.0 * a1 - 3.0 * a2 + a3)?;
+        a[k] = ra;
+        (a3, a2, a1) = (a2, a1, ra);
+        let rb = sink.emit_lane(1, rowb + k, 3.0 * b1 - 3.0 * b2 + b3)?;
+        b[k] = rb;
+        (b3, b2, b1) = (b2, b1, rb);
+        let rc = sink.emit_lane(2, rowc + k, 3.0 * c1 - 3.0 * c2 + c3)?;
+        c[k] = rc;
+        (c3, c2, c1) = (c2, c1, rc);
+        let rd = sink.emit_lane(3, rowd + k, 3.0 * d1 - 3.0 * d2 + d3)?;
+        d[k] = rd;
+        (d3, d2, d1) = (d2, d1, rd);
+    }
+    sink.flush_quad();
     Ok(())
 }
 
@@ -979,7 +1129,8 @@ fn l2_3d_pair<S: ElementSink>(
 // `__m256d` body measured slower and was removed, DESIGN §17.3). At
 // `Off` the quad is skipped entirely and rows fall through to the
 // pair/row loops — the mandatory no-`unsafe` fallback. Only the
-// first-order stencils get quads: the 26-point Lorenzo² gather
+// first-order stencils (and the spline rows, `spline_quad`) get quads:
+// the 26-point Lorenzo² gather
 // dominates its own chain, so the pair is already port-bound there.
 // ---------------------------------------------------------------------
 
@@ -1192,17 +1343,6 @@ fn l1_3d_quad<S: ElementSink>(
     Ok(())
 }
 
-/// Region-decomposed walk over a whole field — [`drive_range`] over the
-/// full linear range, wavefront pairing included.
-fn drive_walk<S: ElementSink>(
-    shape: Shape,
-    model: PredictorModel,
-    recon: &mut [f64],
-    sink: &mut S,
-) -> Result<(), SzError> {
-    drive_range(shape, model, 0, shape.len(), recon, sink)
-}
-
 /// 2-D rows `start/cols .. end/cols`, interior rows in wavefront quads
 /// (dispatch level permitting) then pairs.
 fn walk_2d<S: ElementSink>(
@@ -1352,6 +1492,21 @@ fn walk_span(model: PredictorModel, shape: Shape) -> &'static str {
     }
 }
 
+/// Everything a fused walk leaves behind over a leading run of samples:
+/// the codes and escapes of the first `codes.len()` samples and their
+/// reconstruction. A walk over a leading whole-row slab is exactly the
+/// prefix of the walk over the whole field (no predictor reads the outer
+/// extent), so the walk can be continued from it to the end.
+#[derive(Default)]
+pub struct WalkState<T: Scalar> {
+    /// One quantization code per walked sample, scan order.
+    pub codes: Vec<u32>,
+    /// Escaped samples among them, in scan order.
+    pub unpred: Vec<T>,
+    /// Reconstruction of every walked sample (`codes.len()` of them).
+    pub recon: Vec<f64>,
+}
+
 /// Fused prediction + quantization walk over a whole field or block.
 ///
 /// Byte-for-byte equivalent to [`walk_reference`]; `recon` is caller-owned
@@ -1370,18 +1525,53 @@ pub fn walk_fused<T: Scalar>(
     escape: EscapeCoding,
     recon: &mut Vec<f64>,
 ) -> WalkResult<T> {
+    recon.clear();
+    let start = WalkState {
+        codes: Vec::new(),
+        unpred: Vec::with_capacity(data.len() / 64 + 4),
+        recon: std::mem::take(recon),
+    };
+    let st = walk_fused_resume(data, shape, eb, bins, pred, escape, start);
+    *recon = st.recon;
+    WalkResult {
+        codes: st.codes,
+        unpred: st.unpred,
+    }
+}
+
+/// Continue a fused walk over the rest of `data`: `st` holds the walk,
+/// with the same `eb`, `bins`, `pred` and `escape`, of
+/// `data[..st.codes.len()]` shaped as the leading whole outer-dimension
+/// slices of `shape` (any prefix in 1-D; empty to walk from the start).
+/// The result equals [`walk_fused`] over all of `data` bit for bit —
+/// codes, escapes and reconstruction.
+///
+/// # Panics
+/// Debug-asserts that `data` matches `shape` and that `st` is a prefix.
+pub(crate) fn walk_fused_resume<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    eb: f64,
+    bins: usize,
+    pred: PredictorModel,
+    escape: EscapeCoding,
+    mut st: WalkState<T>,
+) -> WalkState<T> {
     debug_assert_eq!(data.len(), shape.len());
     let _span = fpsnr_obs::span(walk_span(pred, shape));
-    let n = data.len();
+    let (start, n) = (st.codes.len(), data.len());
+    debug_assert!(start <= n && st.recon.len() >= start);
     let quant = LinearQuantizer::new(eb, bins);
-    recon.clear();
-    recon.resize(n, 0.0);
-    let mut codes = vec![ESCAPE; n];
-    let mut unpred = Vec::with_capacity(n / 64 + 4);
+    // Exact growth: a resumed slab walk must not double its capacity.
+    st.recon.truncate(start);
+    st.recon.reserve_exact(n - start);
+    st.recon.resize(n, 0.0);
+    st.codes.reserve_exact(n - start);
+    st.codes.resize(n, ESCAPE);
     let mut sink = WalkSink {
         data,
-        codes: &mut codes,
-        unpred: &mut unpred,
+        codes: &mut st.codes,
+        unpred: &mut st.unpred,
         eb,
         inv_bin: quant.inv_bin_width(),
         qmax: (quant.center() - 1) as u64,
@@ -1389,12 +1579,12 @@ pub fn walk_fused<T: Scalar>(
         escape,
         deferred: [Vec::new(), Vec::new(), Vec::new()],
     };
-    drive_walk(shape, pred, recon, &mut sink).expect("walk sink is infallible");
+    drive_range(shape, pred, start, n, &mut st.recon, &mut sink).expect("walk sink is infallible");
     debug_assert!(
         sink.deferred.iter().all(Vec::is_empty),
         "every wavefront pair/quad must flush its deferred escapes"
     );
-    WalkResult { codes, unpred }
+    st
 }
 
 /// The per-element reference walk (correctness oracle for the kernels).

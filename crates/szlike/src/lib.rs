@@ -47,6 +47,7 @@ pub mod kernels;
 pub mod predictor;
 pub mod quantizer;
 pub mod ratemodel;
+pub mod select;
 pub mod store;
 pub mod unpredictable;
 

@@ -408,20 +408,23 @@ pub fn fit_regression<T: ndfield::Scalar>(data: &[T], shape: Shape) -> [f64; 4] 
     let mut su = [0.0f64; 3]; // Σ uₐ over *finite* samples
     let mut sxu = [0.0f64; 3]; // Σ x·uₐ
     let mut suu = [0.0f64; 3]; // Σ uₐ²
-    for (lin, v) in data.iter().enumerate() {
+
+    // Row-major coordinates of the current sample, advanced like an
+    // odometer instead of divided out of the linear index.
+    let mut next = [0usize; 3];
+    for v in data {
+        let coords = next;
+        for a in (0..rank).rev() {
+            next[a] += 1;
+            if a == 0 || next[a] < dims[a] {
+                break;
+            }
+            next[a] = 0;
+        }
         let x = v.to_f64();
         if !x.is_finite() {
             continue;
         }
-        let coords: [usize; 3] = match shape {
-            Shape::D1(_) => [lin, 0, 0],
-            Shape::D2(_, cols) => [lin / cols, lin % cols, 0],
-            Shape::D3(_, d1, d2) => {
-                let k = lin % d2;
-                let rest = lin / d2;
-                [rest / d1, rest % d1, k]
-            }
-        };
         n += 1.0;
         sx += x;
         for a in 0..rank {

@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use ndfield::{Field, Scalar};
 
 use crate::blocked::{block_range, resolve_block_rows, use_blocked};
-use crate::compressor::{quantized_walk_on, select_model};
+use crate::compressor::quantized_walk_on;
 use crate::config::{LosslessBackend, SzConfig};
 use crate::error::SzError;
 
@@ -67,60 +67,6 @@ const NOISE_FLOOR_BITS_PER_OCTAVE: f64 = 0.28;
 /// standard deviation of roughly half a bin, and a discrete distribution
 /// that wide carries ≈ 1.4 bits however coarse the bound gets.
 const NOISE_FLOOR_CAP_BITS: f64 = 1.4;
-
-/// Estimate coded bits/value for one predictor candidate from its sampled
-/// quantized error magnitudes — the shared cost model behind
-/// [`crate::compressor::select_model`]'s per-field and per-block bake-offs.
-///
-/// `qmags` holds the quantized error magnitude per sampled point with
-/// `u64::MAX` (or anything `> radius`) marking an escape. Magnitudes are
-/// priced like an exponent/mantissa code (the JPEG-DC / Elias-γ shape a
-/// canonical Huffman code converges to on long-tailed alphabets): Shannon
-/// entropy over the exponent classes — zero, `[2^(k−1), 2^k)` for each
-/// `k`, escapes as one more class — plus `k−1` mantissa bits and one sign
-/// bit per nonzero in-range magnitude, plus `sample_bits` per escape,
-/// plus `extra_bits` of per-value side-channel overhead (regression
-/// spends `8·REGRESSION_COEFF_BYTES / n` here). Pricing the within-class
-/// spread explicitly matters for wide residual distributions: flat
-/// buckets made a predictor whose magnitudes span thousands of bins look
-/// several bits/value cheaper than its real Huffman stream.
-pub(crate) fn candidate_bits_per_value(
-    qmags: &[u64],
-    radius: u64,
-    sample_bits: f64,
-    extra_bits: f64,
-) -> f64 {
-    if qmags.is_empty() {
-        return extra_bits;
-    }
-    // Class 0 holds zeros; class k (1..=64) holds magnitudes with k bits.
-    let mut hist = [0u64; 65];
-    let mut escapes = 0u64;
-    let mut nonzero_live = 0u64;
-    let mut mantissa_bits = 0u64;
-    for &q in qmags {
-        if q > radius {
-            escapes += 1;
-        } else if q == 0 {
-            hist[0] += 1;
-        } else {
-            let k = 64 - q.leading_zeros() as usize;
-            hist[k] += 1;
-            mantissa_bits += (k - 1) as u64;
-            nonzero_live += 1;
-        }
-    }
-    let n = qmags.len() as f64;
-    let mut h = 0.0;
-    for &c in hist.iter().chain(std::iter::once(&escapes)) {
-        if c > 0 {
-            let p = c as f64 / n;
-            h -= p * p.log2();
-        }
-    }
-    let esc_frac = escapes as f64 / n;
-    h + (mantissa_bits + nonzero_live) as f64 / n + esc_frac * sample_bits + extra_bits
-}
 
 /// The ratio–quality curve built from one pilot pass over one field.
 ///
@@ -184,7 +130,7 @@ impl RateModel {
         let eb_ref = vr * EB_REF_REL;
         let shape = field.shape();
         let data = field.as_slice();
-        let model = select_model(data, shape, cfg.predictor, eb_ref, PILOT_BINS);
+        let model = crate::select::model(data, shape, cfg.predictor, eb_ref, PILOT_BINS).model;
         let radius = (PILOT_BINS / 2) as i64;
         let mut mag_counts: HashMap<i64, u64> = HashMap::new();
         let mut escapes = 0u64;

@@ -32,7 +32,15 @@ fn field_from_seed(dims: &[usize], seed: u64) -> Field<f32> {
 }
 
 const EB: f64 = 1e-3;
-const PREDICTORS: [PredictorKind; 2] = [PredictorKind::Lorenzo1, PredictorKind::Lorenzo2];
+/// Every predictor kind, `Auto` included: its bake-off walks each
+/// candidate fused, and the production walk continues the winner's walk.
+const PREDICTORS: [PredictorKind; 5] = [
+    PredictorKind::Lorenzo1,
+    PredictorKind::Lorenzo2,
+    PredictorKind::Regression,
+    PredictorKind::Spline,
+    PredictorKind::Auto,
+];
 
 /// Compress with both kernel modes and assert the containers match byte
 /// for byte, then round-trip and assert the decoded samples are bit-equal
@@ -109,7 +117,7 @@ proptest! {
     fn fused_matches_reference_1d(
         n in 1usize..600,
         seed in any::<u64>(),
-        p in 0usize..2,
+        p in 0usize..PREDICTORS.len(),
     ) {
         let field = field_from_seed(&[n], seed);
         let cfg = SzConfig::new(ErrorBound::Abs(EB)).with_predictor(PREDICTORS[p]);
@@ -123,7 +131,7 @@ proptest! {
         rows in 1usize..40,
         cols in 1usize..40,
         seed in any::<u64>(),
-        p in 0usize..2,
+        p in 0usize..PREDICTORS.len(),
     ) {
         let field = field_from_seed(&[rows, cols], seed);
         let cfg = SzConfig::new(ErrorBound::Abs(EB)).with_predictor(PREDICTORS[p]);
@@ -139,7 +147,7 @@ proptest! {
         d1 in 1usize..12,
         d2 in 1usize..12,
         seed in any::<u64>(),
-        p in 0usize..2,
+        p in 0usize..PREDICTORS.len(),
     ) {
         let field = field_from_seed(&[d0, d1, d2], seed);
         let cfg = SzConfig::new(ErrorBound::Abs(EB)).with_predictor(PREDICTORS[p]);
@@ -155,7 +163,7 @@ proptest! {
         cols in 1usize..30,
         seed in any::<u64>(),
         block_rows in 1usize..7,
-        p in 0usize..2,
+        p in 0usize..PREDICTORS.len(),
     ) {
         // block_rows >= 1 forces the blocked container, so every block's
         // walk and the per-block decode mirror are compared.
@@ -172,7 +180,7 @@ proptest! {
     #[test]
     fn fused_matches_reference_degenerate_shapes(
         seed in any::<u64>(),
-        p in 0usize..2,
+        p in 0usize..PREDICTORS.len(),
         long in 3usize..60,
     ) {
         // Shapes where one or more dims are 1 or 2: the interior regions
@@ -188,6 +196,34 @@ proptest! {
             let label = format!("degenerate {dims:?} pred={p}");
             if let Err(msg) = assert_kernels_agree(&field, cfg, &label) {
                 prop_assert!(false, "{}", msg);
+            }
+        }
+    }
+}
+
+/// Fields larger than one bake-off slab (65 536 samples), so `Auto`'s
+/// production walk continues the winner's slab walk mid-field, with
+/// non-finite samples scattered past the slab. `Truncated` escapes never
+/// resume and must agree too.
+#[test]
+fn fused_matches_reference_past_the_bakeoff_slab() {
+    use szlike::EscapeCoding;
+    let shapes: [&[usize]; 4] = [&[70_001], &[280, 250], &[20, 60, 60], &[70_001, 1]];
+    for (s, dims) in shapes.into_iter().enumerate() {
+        let mut field = field_from_seed(dims, 0x5EED + s as u64);
+        let n = field.len();
+        for (t, lin) in [n - 1, n - 700, n - 1_403, 66_001].into_iter().enumerate() {
+            field.as_mut_slice()[lin] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30][t];
+        }
+        for p in PREDICTORS {
+            for escape in [EscapeCoding::Exact, EscapeCoding::Truncated] {
+                let cfg = SzConfig::new(ErrorBound::Abs(EB))
+                    .with_predictor(p)
+                    .with_escape(escape);
+                let label = format!("{dims:?} {p:?} {escape:?}");
+                if let Err(msg) = assert_kernels_agree(&field, cfg, &label) {
+                    panic!("{msg}");
+                }
             }
         }
     }

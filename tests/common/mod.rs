@@ -288,6 +288,72 @@ pub fn mixed_golden_set() -> Vec<Golden> {
     ]
 }
 
+/// Golden fixtures that pin the two selection stages at scale, kept
+/// separate like [`grid_golden_set`]. Every one turns on adaptive interval
+/// selection and holds more than 131 072 samples, so interval selection
+/// samples on a stride (the sample target is 65 536). The monolithic
+/// `Auto` field is larger than one bake-off slab, so its production walk
+/// continues mid-field from the winning slab walk. The blocked `Auto`
+/// field's blocks each fit one slab. The `current/` bytes regenerate
+/// together with the main set via `FPSNR_REGEN_FIXTURES`.
+pub fn selection_golden_set() -> Vec<Golden> {
+    vec![
+        Golden::f32(
+            "select_auto_f32_mono_2d",
+            spiky_field(Shape::D2(320, 450)),
+            SzConfig::new(ErrorBound::Abs(0.25))
+                .with_auto_intervals(true)
+                .with_predictor(PredictorKind::Auto),
+            0.25,
+        ),
+        Golden::f32(
+            "select_auto_f32_3d",
+            spiky_field(Shape::D3(40, 60, 60)),
+            SzConfig::new(ErrorBound::Abs(0.25))
+                .with_auto_intervals(true)
+                .with_threads(2)
+                .with_predictor(PredictorKind::Auto),
+            0.25,
+        ),
+        Golden::f32(
+            "select_lorenzo_f32_3d",
+            spiky_field(Shape::D3(36, 64, 60)),
+            SzConfig::new(ErrorBound::Abs(0.25)).with_auto_intervals(true),
+            0.25,
+        ),
+    ]
+}
+
+/// A two-texture field with sparse large spikes (about one sample in 64).
+/// The leading half along the slowest axis is a per-axis quadratic (the
+/// neighbour stencils' territory), the trailing half a plane (regression's),
+/// both under small hashed noise. The spikes give the prediction errors a
+/// heavy tail, so adaptive interval selection lands above its 32-bin floor.
+fn spiky_field(shape: Shape) -> Field<f32> {
+    let dims = shape.dims();
+    let per_lead = shape.len() / dims[0];
+    Field::from_fn_linear(shape, |lin| {
+        let quadratic = lin / per_lead < dims[0] / 2;
+        let mut rest = lin;
+        let mut ramp = 0.0;
+        for (axis, &d) in dims.iter().enumerate().rev() {
+            let c = (rest % d) as f64;
+            rest /= d;
+            ramp += if quadratic && axis > 0 {
+                c * c * (4.0 / d as f64)
+            } else {
+                c * (2.0 / (axis + 1) as f64)
+            };
+        }
+        let spike = if hash01(lin + (1 << 40)) < 1.0 / 64.0 {
+            (hash01(lin + (1 << 41)) - 0.5) * 64.0
+        } else {
+            0.0
+        };
+        (ramp + hash01(lin) * 0.125 + spike) as f32
+    })
+}
+
 /// Deterministic two-texture field (dyadic arithmetic only): the top half
 /// is a plane plus hashed noise (per-block linear regression's natural
 /// territory — the noise defeats neighbour-based predictors), the bottom

@@ -5,8 +5,8 @@
 mod common;
 
 use common::{
-    current_dir, golden_set, grid_golden_set, mixed_golden_set, v1_dir, v2_dir, Golden,
-    GoldenField,
+    current_dir, golden_set, grid_golden_set, mixed_golden_set, selection_golden_set, v1_dir,
+    v2_dir, Golden, GoldenField,
 };
 use fixed_psnr::prelude::*;
 use fixed_psnr::sz::{self, format, LosslessBackend};
@@ -182,6 +182,7 @@ fn regenerate_golden_fixtures() {
         .iter()
         .chain(grid_golden_set().iter())
         .chain(mixed_golden_set().iter())
+        .chain(selection_golden_set().iter())
     {
         let path = dir.join(format!("{}.szr", g.name));
         std::fs::write(&path, g.compress()).unwrap();
@@ -220,6 +221,7 @@ fn fixtures_are_byte_stable_at_every_simd_level() {
         .iter()
         .chain(grid_golden_set().iter())
         .chain(mixed_golden_set().iter())
+        .chain(selection_golden_set().iter())
     {
         let path = current_dir().join(format!("{}.szr", g.name));
         let frozen = std::fs::read(&path)
@@ -235,6 +237,42 @@ fn fixtures_are_byte_stable_at_every_simd_level() {
                 g.name,
                 forced.map_or("auto", SimdLevel::name),
             );
+        }
+    }
+}
+
+/// The selection fixtures pin both selection stages at scale: strided
+/// interval sampling (each picks more than 32 bins), the monolithic
+/// bake-off whose production walk continues mid-field from the winning
+/// slab walk, and per-block bake-offs on a v5 container. Byte stability
+/// at every dispatch level is checked with the other goldens above; here
+/// each fixture must still be large enough to pin selection, decode
+/// within its bound and, for the blocked one, reproduce at every thread
+/// count.
+#[test]
+fn selection_fixtures_are_byte_stable() {
+    for g in selection_golden_set() {
+        let path = current_dir().join(format!("{}.szr", g.name));
+        let frozen = std::fs::read(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+        let GoldenField::F32(field) = &g.field else {
+            panic!("{}: selection fixtures are f32", g.name);
+        };
+        let (fresh, detail) = sz::compress_with_detail(field, &g.cfg).unwrap();
+        assert_eq!(fresh, frozen, "{}: encoder output drifted", g.name);
+        assert!(
+            field.len() > 131_072 && detail.quant_bins_used > 32,
+            "{}: {} samples, {} bins no longer pin strided interval selection",
+            g.name,
+            field.len(),
+            detail.quant_bins_used
+        );
+        assert_decodes_within_tol(g.name, &frozen, &g);
+        if g.cfg.threads > 1 {
+            for t in [2, 3, 8] {
+                let fresh = sz::compress(field, &g.cfg.with_threads(t)).unwrap();
+                assert_eq!(fresh, frozen, "{}: output at {t} threads drifted", g.name);
+            }
         }
     }
 }
