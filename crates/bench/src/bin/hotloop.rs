@@ -1,74 +1,42 @@
-//! Single-thread hot-loop benchmark: fused kernels vs the per-element
-//! reference walk, stage by stage and end to end, swept across every
-//! available SIMD dispatch level.
+//! SIMD-tier tripwire: single-thread compress and decompress throughput
+//! at every available dispatch level, on a 3-D GRF, a 2-D GRF and a 1-D
+//! drift series.
 //!
 //! ```text
 //! cargo run --release -p fpsnr-bench --bin hotloop
-//! FPSNR_GRF_DIM=32 FPSNR_REPS=2 cargo run --release -p fpsnr-bench --bin hotloop   # CI smoke
+//! FPSNR_GRF_DIM=64 FPSNR_REPS=5 cargo run --release -p fpsnr-bench --bin hotloop   # CI tripwire
 //! ```
 //!
 //! Levels are forced in-process (`losslesskit::simd::force`) and the
 //! repetitions interleave level sweeps, so every level sees the same
-//! thermal/steal conditions — on a shared single-core host, back-to-back
+//! thermal/steal conditions — on a shared host, back-to-back
 //! whole-process runs disagree by far more than the effects measured here.
 //!
 //! Writes `BENCH_hotloop.json` (override with `FPSNR_OUT`) recording, per
-//! corpus: walk / reconstruct / compress / decompress wall time per
-//! dispatch level, the reference-kernel times, the SIMD-over-forced-scalar
-//! speedups, and whether every (level × kernel-mode) container was
-//! byte-identical. Exits nonzero if any container pair differs — the bench
-//! doubles as the bit-identity tripwire CI runs on every push.
+//! corpus: best-of compress / decompress wall time per dispatch level, the
+//! SIMD-over-forced-scalar speedups, and whether every level produced the
+//! same container bytes and decoded bits. Exits nonzero if any level
+//! differs. Fused-vs-reference kernel identity is a test
+//! (`szlike/tests/kernel_equivalence.rs`), and the walk and reconstruct
+//! layer throughputs are the benchmark's `kernels.*` metrics.
 
 use datagen::grf::{grf_2d, grf_3d};
 use datagen::timeseries::DriftField;
 use losslesskit::simd::{self, SimdLevel};
 use ndfield::{Field, Shape};
-use std::fmt::Write as _;
 use std::time::Instant;
-use szlike::kernels::{reconstruct_fused, reconstruct_reference, walk_fused, walk_reference};
-use szlike::{ErrorBound, EscapeCoding, KernelMode, PredictorModel, SzConfig};
+use szlike::{ErrorBound, SzConfig};
 
 const EB_REL: f64 = 1e-4;
-const BINS: usize = 65536;
-
-/// Per-level best-of wall times for the four measured stages, seconds.
-#[derive(Clone)]
-struct StageTimes {
-    walk_s: f64,
-    recon_s: f64,
-    compress_s: f64,
-    decompress_s: f64,
-}
-
-impl StageTimes {
-    fn inf() -> Self {
-        StageTimes {
-            walk_s: f64::INFINITY,
-            recon_s: f64::INFINITY,
-            compress_s: f64::INFINITY,
-            decompress_s: f64::INFINITY,
-        }
-    }
-}
 
 struct CorpusResult {
     name: &'static str,
     shape: String,
     raw_bytes: usize,
-    /// Reference-kernel times (level-independent; measured every rep).
-    reference: StageTimes,
-    /// Fused-kernel times, one entry per swept level.
-    per_level: Vec<StageTimes>,
+    /// Best-of `(compress_s, decompress_s)`, one entry per swept level.
+    per_level: Vec<(f64, f64)>,
     compressed_bytes: usize,
     containers_identical: bool,
-}
-
-/// One timed call, folded into the running best.
-fn timed<R>(best: &mut f64, f: impl FnOnce() -> R) -> R {
-    let t0 = Instant::now();
-    let r = f();
-    *best = best.min(t0.elapsed().as_secs_f64());
-    r
 }
 
 fn run_corpus(
@@ -77,95 +45,54 @@ fn run_corpus(
     levels: &[SimdLevel],
     reps: usize,
 ) -> CorpusResult {
-    let raw_bytes = field.len() * 4;
-    let shape = field.shape();
-    let eb = EB_REL * field.value_range();
-    let data = field.as_slice();
-    let pred = PredictorModel::Lorenzo1;
     let cfg = SzConfig::new(ErrorBound::ValueRangeRel(EB_REL)).with_auto_intervals(true);
-
-    // Correctness pass first, untimed: every level's walk and container
-    // must be byte-identical to the forced-scalar ones and to the
-    // reference kernel's.
-    let mut scratch = Vec::new();
-    simd::force(Some(SimdLevel::Off));
-    let w0 = walk_fused::<f32>(data, shape, eb, BINS, pred, EscapeCoding::Exact, &mut scratch);
-    let bytes0 = szlike::compress(field, &cfg.with_kernel(KernelMode::Fused)).unwrap();
-    let wr = walk_reference::<f32>(data, shape, eb, BINS, pred, EscapeCoding::Exact, &mut scratch);
-    let bytes_ref = szlike::compress(field, &cfg.with_kernel(KernelMode::Reference)).unwrap();
-    let mut identical = w0.codes == wr.codes && bytes0 == bytes_ref;
-    for &level in &levels[1..] {
-        simd::force(Some(level));
-        let w = walk_fused::<f32>(data, shape, eb, BINS, pred, EscapeCoding::Exact, &mut scratch);
-        let bytes = szlike::compress(field, &cfg.with_kernel(KernelMode::Fused)).unwrap();
-        identical &= w.codes == w0.codes && bytes == bytes0;
-        let back = szlike::decompress::<f32>(&bytes).unwrap();
-        let back0 = {
-            simd::force(Some(SimdLevel::Off));
-            szlike::decompress::<f32>(&bytes0).unwrap()
-        };
-        identical &= back == back0;
-    }
-
-    // Timed pass: each repetition sweeps reference + every level once, so
-    // all columns share drift. The level order rotates per repetition:
-    // on a busy single-core host, frequency drift within one repetition
-    // otherwise biases whichever level is always measured last.
-    let mut reference = StageTimes::inf();
-    let mut per_level = vec![StageTimes::inf(); levels.len()];
+    let mut per_level = vec![(f64::INFINITY, f64::INFINITY); levels.len()];
+    let mut baseline: Option<(Vec<u8>, Field<f32>)> = None;
+    let mut identical = true;
+    // Each repetition sweeps every level once, so all columns share drift.
+    // The level order rotates per repetition: on a busy host, frequency
+    // drift within one repetition otherwise biases whichever level is
+    // always measured last.
     for rep in 0..reps {
-        simd::force(Some(SimdLevel::Off));
-        timed(&mut reference.walk_s, || {
-            walk_reference::<f32>(data, shape, eb, BINS, pred, EscapeCoding::Exact, &mut scratch)
-        });
-        timed(&mut reference.recon_s, || {
-            reconstruct_reference(&w0.codes, &w0.unpred, shape, eb, BINS, pred).unwrap()
-        });
-        timed(&mut reference.compress_s, || {
-            szlike::compress(field, &cfg.with_kernel(KernelMode::Reference)).unwrap()
-        });
-        reference.decompress_s = 0.0; // reference kernel has no decode path of its own
         for idx in 0..levels.len() {
             let li = (idx + rep) % levels.len();
-            let level = levels[li];
-            simd::force(Some(level));
-            let t = &mut per_level[li];
-            timed(&mut t.walk_s, || {
-                walk_fused::<f32>(data, shape, eb, BINS, pred, EscapeCoding::Exact, &mut scratch)
-            });
-            timed(&mut t.recon_s, || {
-                reconstruct_fused(&w0.codes, w0.unpred.clone(), shape, eb, BINS, pred).unwrap()
-            });
-            timed(&mut t.compress_s, || {
-                szlike::compress(field, &cfg.with_kernel(KernelMode::Fused)).unwrap()
-            });
-            timed(&mut t.decompress_s, || {
-                szlike::decompress::<f32>(&bytes0).unwrap()
-            });
+            simd::force(Some(levels[li]));
+            let t0 = Instant::now();
+            let bytes = szlike::compress(field, &cfg).unwrap();
+            let compress_s = t0.elapsed().as_secs_f64();
+            let t0 = Instant::now();
+            let back = szlike::decompress::<f32>(&bytes).unwrap();
+            let decompress_s = t0.elapsed().as_secs_f64();
+            let best = &mut per_level[li];
+            best.0 = best.0.min(compress_s);
+            best.1 = best.1.min(decompress_s);
+            match &baseline {
+                Some((bytes0, back0)) => identical &= bytes == *bytes0 && back == *back0,
+                None => baseline = Some((bytes, back)),
+            }
         }
     }
     simd::force(None);
 
     CorpusResult {
         name,
-        shape: format!("{shape:?}"),
-        raw_bytes,
-        reference,
+        shape: format!("{:?}", field.shape()),
+        raw_bytes: field.len() * 4,
         per_level,
-        compressed_bytes: bytes0.len(),
+        compressed_bytes: baseline.map_or(0, |(bytes, _)| bytes.len()),
         containers_identical: identical,
     }
 }
 
 fn main() {
-    let dim: usize = std::env::var("FPSNR_GRF_DIM")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let reps: usize = std::env::var("FPSNR_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let knob = |name: &str, default: usize| {
+        std::env::var(name)
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(default)
+    };
+    let dim = knob("FPSNR_GRF_DIM", 64);
+    let reps = knob("FPSNR_REPS", 3).max(1);
     let out_path =
         std::env::var("FPSNR_OUT").unwrap_or_else(|_| "BENCH_hotloop.json".to_string());
 
@@ -176,17 +103,16 @@ fn main() {
         .filter(|&l| l <= detected)
         .collect();
 
-    let grf3: Vec<f32> = grf_3d(dim, dim, dim, 3.0, 20180713)
-        .into_iter()
-        .map(|v| v as f32)
-        .collect();
-    let grf3 = Field::from_vec(Shape::D3(dim, dim, dim), grf3);
+    let narrow = |v: Vec<f64>| v.into_iter().map(|x| x as f32).collect();
+    let grf3 = Field::from_vec(
+        Shape::D3(dim, dim, dim),
+        narrow(grf_3d(dim, dim, dim, 3.0, 20180713)),
+    );
     let side = 4 * dim;
-    let grf2: Vec<f32> = grf_2d(side, side, 3.0, 20180713)
-        .into_iter()
-        .map(|v| v as f32)
-        .collect();
-    let grf2 = Field::from_vec(Shape::D2(side, side), grf2);
+    let grf2 = Field::from_vec(
+        Shape::D2(side, side),
+        narrow(grf_2d(side, side, 3.0, 20180713)),
+    );
     // 1-D corpus: a drifting snapshot flattened to a series, so the walk
     // sees realistic smooth-plus-detail structure rather than pure noise.
     let drift = DriftField {
@@ -195,26 +121,29 @@ fn main() {
         ..DriftField::default()
     }
     .at(0.0);
-    let n1 = drift.len();
-    let series = Field::from_vec(Shape::D1(n1), drift.as_slice().to_vec());
+    let series = Field::from_vec(Shape::D1(drift.len()), drift.as_slice().to_vec());
 
-    let corpora = [
+    let results: Vec<CorpusResult> = [
         ("grf3d", &grf3),
         ("grf2d", &grf2),
         ("timeseries1d", &series),
-    ];
-
-    let mut results = Vec::new();
-    for (name, field) in corpora {
-        results.push(run_corpus(name, field, &levels, reps));
-    }
+    ]
+    .into_iter()
+    .map(|(name, field)| run_corpus(name, field, &levels, reps))
+    .collect();
 
     let mib = |bytes: usize, s: f64| bytes as f64 / (1024.0 * 1024.0) / s;
+    // Forced-scalar over the highest level, (compress, decompress).
+    let speedup = |r: &CorpusResult| {
+        let (off, top) = (r.per_level[0], r.per_level[r.per_level.len() - 1]);
+        (off.0 / top.0, off.1 / top.1)
+    };
     println!(
-        "hot-loop kernels, eb_rel {EB_REL}, best of {reps}, single thread, \
+        "compress/decompress, eb_rel {EB_REL}, best of {reps}, single thread, \
          simd detected: {}",
         detected.name()
     );
+    let mut corpora_json = Vec::new();
     for r in &results {
         println!(
             "{}: {} ({:.1} MiB), {} bytes, containers identical: {}",
@@ -224,102 +153,50 @@ fn main() {
             r.compressed_bytes,
             r.containers_identical,
         );
-        println!(
-            "  reference  walk {:7.1} MiB/s  reconstruct {:7.1} MiB/s  compress {:7.1} MiB/s",
-            mib(r.raw_bytes, r.reference.walk_s),
-            mib(r.raw_bytes, r.reference.recon_s),
-            mib(r.raw_bytes, r.reference.compress_s),
-        );
-        for (li, t) in r.per_level.iter().enumerate() {
+        let mut levels_json = Vec::new();
+        for (&(c, d), level) in r.per_level.iter().zip(&levels) {
+            let (c_mib, d_mib) = (mib(r.raw_bytes, c), mib(r.raw_bytes, d));
             println!(
-                "  fused/{:<5} walk {:7.1} MiB/s  reconstruct {:7.1} MiB/s  compress {:7.1} MiB/s  decompress {:7.1} MiB/s",
-                levels[li].name(),
-                mib(r.raw_bytes, t.walk_s),
-                mib(r.raw_bytes, t.recon_s),
-                mib(r.raw_bytes, t.compress_s),
-                mib(r.raw_bytes, t.decompress_s),
+                "  {:<5} compress {c_mib:7.1} MiB/s  decompress {d_mib:7.1} MiB/s",
+                level.name()
             );
+            levels_json.push(format!(
+                "\n       \"{}\": {{\"compress_s\": {c:.6}, \"decompress_s\": {d:.6}, \
+                 \"compress_mib_s\": {c_mib:.2}, \"decompress_mib_s\": {d_mib:.2}}}",
+                level.name()
+            ));
         }
-        let last = r.per_level.last().unwrap();
-        let off = &r.per_level[0];
-        println!(
-            "  simd vs scalar: walk {:.2}x  reconstruct {:.2}x  compress {:.2}x  decompress {:.2}x",
-            off.walk_s / last.walk_s,
-            off.recon_s / last.recon_s,
-            off.compress_s / last.compress_s,
-            off.decompress_s / last.decompress_s,
-        );
-    }
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"hotloop\",\n  \"grf_dim\": {dim},\n  \"reps\": {reps},\n  \
-         \"eb_rel\": {EB_REL},\n  \"simd_detected\": \"{}\",\n  \"levels\": [{}],\n  \"corpora\": [",
-        detected.name(),
-        levels
-            .iter()
-            .map(|l| format!("\"{}\"", l.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    for (i, r) in results.iter().enumerate() {
-        let last = r.per_level.last().unwrap();
-        let off = &r.per_level[0];
-        let _ = write!(
-            json,
-            "{}\n    {{\"name\": \"{}\", \"shape\": \"{}\", \"raw_bytes\": {},\n     \
-             \"reference\": {{\"walk_s\": {:.6}, \"reconstruct_s\": {:.6}, \"compress_s\": {:.6}}},\n     \
-             \"levels\": {{",
-            if i == 0 { "" } else { "," },
+        let (c, d) = speedup(r);
+        println!("  simd vs scalar: compress {c:.2}x  decompress {d:.2}x");
+        corpora_json.push(format!(
+            "\n    {{\"name\": \"{}\", \"shape\": \"{}\", \"raw_bytes\": {},\n     \
+             \"levels\": {{{}\n     }},\n     \
+             \"simd_speedup\": {{\"compress\": {c:.4}, \"decompress\": {d:.4}}},\n     \
+             \"compressed_bytes\": {}, \"containers_identical\": {}}}",
             r.name,
             r.shape,
             r.raw_bytes,
-            r.reference.walk_s,
-            r.reference.recon_s,
-            r.reference.compress_s,
-        );
-        for (li, t) in r.per_level.iter().enumerate() {
-            let _ = write!(
-                json,
-                "{}\n       \"{}\": {{\"walk_s\": {:.6}, \"reconstruct_s\": {:.6}, \
-                 \"compress_s\": {:.6}, \"decompress_s\": {:.6}, \
-                 \"compress_mib_s\": {:.2}, \"decompress_mib_s\": {:.2}}}",
-                if li == 0 { "" } else { "," },
-                levels[li].name(),
-                t.walk_s,
-                t.recon_s,
-                t.compress_s,
-                t.decompress_s,
-                mib(r.raw_bytes, t.compress_s),
-                mib(r.raw_bytes, t.decompress_s),
-            );
-        }
-        let _ = write!(
-            json,
-            "\n     }},\n     \"simd_speedup\": {{\"walk\": {:.4}, \"reconstruct\": {:.4}, \
-             \"compress\": {:.4}, \"decompress\": {:.4}}},\n     \
-             \"fused_vs_reference_walk\": {:.4},\n     \
-             \"compressed_bytes\": {}, \"containers_identical\": {}}}",
-            off.walk_s / last.walk_s,
-            off.recon_s / last.recon_s,
-            off.compress_s / last.compress_s,
-            off.decompress_s / last.decompress_s,
-            r.reference.walk_s / last.walk_s,
+            levels_json.join(","),
             r.compressed_bytes,
             r.containers_identical,
-        );
+        ));
     }
+
     let all_identical = results.iter().all(|r| r.containers_identical);
-    let _ = write!(
-        json,
-        "\n  ],\n  \"all_containers_identical\": {all_identical}\n}}\n"
+    let level_names: Vec<String> = levels.iter().map(|l| format!("\"{}\"", l.name())).collect();
+    let json = format!(
+        "{{\n  \"bench\": \"hotloop\",\n  \"grf_dim\": {dim},\n  \"reps\": {reps},\n  \
+         \"eb_rel\": {EB_REL},\n  \"simd_detected\": \"{}\",\n  \"levels\": [{}],\n  \
+         \"corpora\": [{}\n  ],\n  \"all_containers_identical\": {all_identical}\n}}\n",
+        detected.name(),
+        level_names.join(", "),
+        corpora_json.join(","),
     );
     std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path}");
 
     if !all_identical {
-        eprintln!("FAIL: containers differed across kernels or SIMD dispatch levels");
+        eprintln!("FAIL: containers differed across SIMD dispatch levels");
         std::process::exit(1);
     }
 }

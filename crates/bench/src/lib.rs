@@ -1,10 +1,10 @@
 //! Shared plumbing for the experiment binaries and Criterion benches.
 //!
-//! Every binary honours two environment knobs so the whole evaluation can
-//! be re-run at different scales without recompiling:
+//! The paper-reproduction binaries honour three environment knobs so the
+//! whole evaluation can be re-run at different scales without recompiling:
 //!
-//! - `FPSNR_RES` — `small` | `default` (default: `default`); grid tier of
-//!   the synthetic data sets,
+//! - `FPSNR_RES` — `small` | `default` | `paper` (default: `default`);
+//!   grid tier of the synthetic data sets,
 //! - `FPSNR_SEED` — master seed (default: 20180713, the paper's arXiv v3
 //!   date),
 //! - `FPSNR_THREADS` — worker threads for batch runs (default: machine

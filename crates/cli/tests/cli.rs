@@ -114,6 +114,118 @@ fn abs_mode_round_trip() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// Check that `text` is one JSON object (the workspace has no JSON
+/// crate) and return its top-level keys in order.
+fn json_object_keys(text: &str) -> Result<Vec<String>, String> {
+    struct Reader<'a>(&'a [u8], usize);
+    impl Reader<'_> {
+        fn peek(&mut self) -> Option<u8> {
+            while self.0.get(self.1).is_some_and(u8::is_ascii_whitespace) {
+                self.1 += 1;
+            }
+            self.0.get(self.1).copied()
+        }
+        fn eat(&mut self, b: u8) -> Result<(), String> {
+            if self.peek() != Some(b) {
+                return Err(format!("expected '{}' at byte {}", b as char, self.1));
+            }
+            self.1 += 1;
+            Ok(())
+        }
+        fn string(&mut self) -> Result<String, String> {
+            self.eat(b'"')?;
+            let start = self.1;
+            while self.0.get(self.1) != Some(&b'"') {
+                if self.1 >= self.0.len() {
+                    return Err("unterminated string".into());
+                }
+                self.1 += if self.0[self.1] == b'\\' { 2 } else { 1 };
+            }
+            self.1 += 1;
+            Ok(String::from_utf8_lossy(&self.0[start..self.1 - 1]).into_owned())
+        }
+        /// One value; the keys of an object value go into `keys`.
+        fn value(&mut self, keys: &mut Vec<String>) -> Result<(), String> {
+            match self.peek() {
+                Some(open @ (b'{' | b'[')) => {
+                    let close = if open == b'{' { b'}' } else { b']' };
+                    self.1 += 1;
+                    if self.peek() == Some(close) {
+                        self.1 += 1;
+                        return Ok(());
+                    }
+                    loop {
+                        if open == b'{' {
+                            keys.push(self.string()?);
+                            self.eat(b':')?;
+                        }
+                        self.value(&mut Vec::new())?;
+                        if self.peek() != Some(b',') {
+                            return self.eat(close);
+                        }
+                        self.1 += 1;
+                    }
+                }
+                Some(b'"') => self.string().map(drop),
+                _ => {
+                    let start = self.1;
+                    let scalar = |c: &u8| c.is_ascii_alphanumeric() || b"+-.".contains(c);
+                    while self.0.get(self.1).is_some_and(scalar) {
+                        self.1 += 1;
+                    }
+                    let tok = std::str::from_utf8(&self.0[start..self.1]).unwrap_or("");
+                    let number = tok.starts_with(|c: char| c == '-' || c.is_ascii_digit())
+                        && tok.parse::<f64>().is_ok();
+                    if number || matches!(tok, "true" | "false" | "null") {
+                        Ok(())
+                    } else {
+                        Err(format!("bad token {tok:?} at byte {start}"))
+                    }
+                }
+            }
+        }
+    }
+    let mut reader = Reader(text.as_bytes(), 0);
+    if reader.peek() != Some(b'{') {
+        return Err("not a JSON object".into());
+    }
+    let mut keys = Vec::new();
+    reader.value(&mut keys)?;
+    match reader.peek() {
+        None => Ok(keys),
+        Some(_) => Err(format!("trailing content at byte {}", reader.1)),
+    }
+}
+
+/// `--profile json` ends stdout with a one-line JSON report. In the
+/// instrumented build the codec's span nests under the command's span;
+/// with `fpsnr-obs/off` the report is still valid JSON, with no spans.
+#[test]
+fn compress_profile_json_reports_spans_and_counters() {
+    let dir = tmpdir("profile");
+    let raw = dir.join("in.raw");
+    let szr = dir.join("out.szr");
+    write_test_field(&raw, 40, 50);
+    let out = fpsnr()
+        .args([
+            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
+            "--type", "f32", "--dims", "40x50", "--mode", "psnr:80", "--profile", "json",
+        ])
+        .output()
+        .expect("run compress");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let last = text.lines().last().expect("no stdout");
+    let keys = json_object_keys(last).unwrap_or_else(|e| panic!("{e}: {last}"));
+    assert_eq!(keys, ["spans", "counters"], "{last}");
+    fpsnr_obs::enable();
+    let instrumented = fpsnr_obs::is_enabled(); // false under fpsnr-obs/off
+    fpsnr_obs::disable();
+    let codec_span = last.contains("\"path\":\"fpsnr.compress/sz.compress\"");
+    assert_eq!(codec_span, instrumented, "{last}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn gen_writes_manifest_and_fields() {
     let dir = tmpdir("gen");

@@ -97,10 +97,15 @@
 //! over the field. `walk_fused_resume` continues such a slab walk (the
 //! `Auto` bake-off winner's, see [`crate::select`]) over the rest.
 
+#[cfg(test)]
 use crate::compressor::quantized_walk_on;
-use crate::config::{EscapeCoding, KernelMode};
+#[cfg(test)]
+use crate::config::KernelMode;
+use crate::config::EscapeCoding;
 use crate::error::SzError;
-use crate::predictor::{predict, predict_with, Predictor, PredictorKind, PredictorModel};
+#[cfg(test)]
+use crate::predictor::Predictor;
+use crate::predictor::{predict, predict_with, PredictorKind, PredictorModel};
 use crate::quantizer::{LinearQuantizer, ESCAPE};
 use crate::unpredictable;
 use losslesskit::simd::{self, SimdLevel};
@@ -1509,7 +1514,8 @@ pub struct WalkState<T: Scalar> {
 
 /// Fused prediction + quantization walk over a whole field or block.
 ///
-/// Byte-for-byte equivalent to [`walk_reference`]; `recon` is caller-owned
+/// Byte-for-byte equivalent to the per-element reference walk
+/// ([`KernelMode::Reference`](crate::KernelMode::Reference)); `recon` is caller-owned
 /// scratch (resized to `data.len()`) holding the reconstruction the
 /// decoder will reproduce.
 ///
@@ -1588,8 +1594,9 @@ pub(crate) fn walk_fused_resume<T: Scalar>(
 }
 
 /// The per-element reference walk (correctness oracle for the kernels).
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn walk_reference<T: Scalar>(
+pub(crate) fn walk_reference<T: Scalar>(
     data: &[T],
     shape: Shape,
     eb: f64,
@@ -1743,7 +1750,8 @@ pub fn reconstruct_fused<T: Scalar>(
 ///
 /// # Errors
 /// [`SzError::Format`] on out-of-range codes or escape-count mismatches.
-pub fn reconstruct_reference<T: Scalar>(
+#[cfg(test)]
+pub(crate) fn reconstruct_reference<T: Scalar>(
     codes: &[u32],
     unpred: &[T],
     shape: Shape,

@@ -44,11 +44,16 @@ const PREDICTORS: [PredictorKind; 5] = [
 
 /// Compress with both kernel modes and assert the containers match byte
 /// for byte, then round-trip and assert the decoded samples are bit-equal
-/// and within the error bound. Finally sweep every available
+/// and within the absolute error bound `eb`. Finally sweep every available
 /// `FPSNR_SIMD` dispatch level and assert each one reproduces the same
 /// container bytes and the same decoded bits — the byte-identity
 /// contract of the SIMD layer (DESIGN.md §17).
-fn assert_kernels_agree(field: &Field<f32>, base: SzConfig, label: &str) -> Result<(), String> {
+fn assert_kernels_agree(
+    field: &Field<f32>,
+    base: SzConfig,
+    eb: f64,
+    label: &str,
+) -> Result<(), String> {
     let fused = compress(field, &base.with_kernel(KernelMode::Fused))
         .map_err(|e| format!("{label}: fused compress failed: {e}"))?;
     let reference = compress(field, &base.with_kernel(KernelMode::Reference))
@@ -67,8 +72,8 @@ fn assert_kernels_agree(field: &Field<f32>, base: SzConfig, label: &str) -> Resu
     }
     for (i, (a, b)) in field.as_slice().iter().zip(back.as_slice()).enumerate() {
         let err = (*a as f64 - *b as f64).abs();
-        if err > EB {
-            return Err(format!("{label}: sample {i}: |{a} - {b}| = {err} > {EB}"));
+        if err > eb {
+            return Err(format!("{label}: sample {i}: |{a} - {b}| = {err} > {eb}"));
         }
     }
     let result = simd_levels_agree(field, &base, label, &fused, &back);
@@ -121,7 +126,7 @@ proptest! {
     ) {
         let field = field_from_seed(&[n], seed);
         let cfg = SzConfig::new(ErrorBound::Abs(EB)).with_predictor(PREDICTORS[p]);
-        if let Err(msg) = assert_kernels_agree(&field, cfg, &format!("1D n={n} pred={p}")) {
+        if let Err(msg) = assert_kernels_agree(&field, cfg, EB, &format!("1D n={n} pred={p}")) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -136,7 +141,7 @@ proptest! {
         let field = field_from_seed(&[rows, cols], seed);
         let cfg = SzConfig::new(ErrorBound::Abs(EB)).with_predictor(PREDICTORS[p]);
         let label = format!("2D {rows}x{cols} pred={p}");
-        if let Err(msg) = assert_kernels_agree(&field, cfg, &label) {
+        if let Err(msg) = assert_kernels_agree(&field, cfg, EB, &label) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -152,7 +157,7 @@ proptest! {
         let field = field_from_seed(&[d0, d1, d2], seed);
         let cfg = SzConfig::new(ErrorBound::Abs(EB)).with_predictor(PREDICTORS[p]);
         let label = format!("3D {d0}x{d1}x{d2} pred={p}");
-        if let Err(msg) = assert_kernels_agree(&field, cfg, &label) {
+        if let Err(msg) = assert_kernels_agree(&field, cfg, EB, &label) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -172,7 +177,7 @@ proptest! {
             .with_predictor(PREDICTORS[p])
             .with_block_rows(block_rows);
         let label = format!("blocked {rows}x{cols} block_rows={block_rows} pred={p}");
-        if let Err(msg) = assert_kernels_agree(&field, cfg, &label) {
+        if let Err(msg) = assert_kernels_agree(&field, cfg, EB, &label) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -194,7 +199,7 @@ proptest! {
             let field = field_from_seed(dims, seed);
             let cfg = SzConfig::new(ErrorBound::Abs(EB)).with_predictor(PREDICTORS[p]);
             let label = format!("degenerate {dims:?} pred={p}");
-            if let Err(msg) = assert_kernels_agree(&field, cfg, &label) {
+            if let Err(msg) = assert_kernels_agree(&field, cfg, EB, &label) {
                 prop_assert!(false, "{}", msg);
             }
         }
@@ -221,10 +226,45 @@ fn fused_matches_reference_past_the_bakeoff_slab() {
                     .with_predictor(p)
                     .with_escape(escape);
                 let label = format!("{dims:?} {p:?} {escape:?}");
-                if let Err(msg) = assert_kernels_agree(&field, cfg, &label) {
+                if let Err(msg) = assert_kernels_agree(&field, cfg, EB, &label) {
                     panic!("{msg}");
                 }
             }
+        }
+    }
+}
+
+/// The corpora the SIMD tripwire bench times — a 3-D GRF of 32³, a 2-D
+/// GRF of 128² and the drift series — at a value-range-relative bound
+/// with auto intervals: realistic smooth-plus-detail data, where the
+/// property fields above are synthetic.
+#[test]
+fn fused_matches_reference_on_bench_corpora() {
+    use datagen::grf::{grf_2d, grf_3d};
+    use datagen::timeseries::DriftField;
+    const DIM: usize = 32;
+    let narrow = |v: Vec<f64>| v.into_iter().map(|x| x as f32).collect::<Vec<_>>();
+    let grf3 = Field::from_vec(
+        Shape::D3(DIM, DIM, DIM),
+        narrow(grf_3d(DIM, DIM, DIM, 3.0, 20180713)),
+    );
+    let side = 4 * DIM;
+    let grf2 = Field::from_vec(
+        Shape::D2(side, side),
+        narrow(grf_2d(side, side, 3.0, 20180713)),
+    );
+    let drift = DriftField {
+        rows: DIM,
+        cols: 4 * DIM,
+        ..DriftField::default()
+    }
+    .at(0.0);
+    let series = Field::from_vec(Shape::D1(drift.len()), drift.as_slice().to_vec());
+    let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-4)).with_auto_intervals(true);
+    for (name, field) in [("grf3d", grf3), ("grf2d", grf2), ("timeseries1d", series)] {
+        let eb = 1e-4 * field.value_range();
+        if let Err(msg) = assert_kernels_agree(&field, cfg, eb, name) {
+            panic!("{msg}");
         }
     }
 }

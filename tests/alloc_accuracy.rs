@@ -21,8 +21,8 @@
 //! Knobs for the CI smoke job: `FPSNR_ALLOC_TABLE=1` prints per-field
 //! allocation tables on stdout; `FPSNR_ALLOC_FULL=1` additionally runs
 //! the oracle comparison on the 79-field ATM snapshot (minutes in debug
-//! builds, so it is opt-in — the bench binary gates the same number in
-//! release mode).
+//! builds, so it is opt-in — the `alloc-smoke` CI job sets it and gates
+//! the number in release mode).
 
 mod common;
 
@@ -487,9 +487,9 @@ fn atm_snapshot_79_fields_at_16x() {
         "ATM utilization {:.3} below floor",
         run.summary.utilization
     );
-    // The oracle costs ≈ 10 more full-snapshot compressions; the bench
-    // binary gates the same bound in release, so debug runs only pay it
-    // on request.
+    // The oracle costs ≈ 10 more full-snapshot compressions, so debug
+    // runs only pay it on request; the `alloc-smoke` CI job sets
+    // FPSNR_ALLOC_FULL and gates it in release.
     if full_enabled() {
         let oracle = oracle_shared_target(&fields, budget, &opts).expect("oracle feasible");
         assert!(

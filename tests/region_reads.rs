@@ -39,6 +39,23 @@ fn sub_range(dim: usize, h0: u64, h1: u64) -> Range<usize> {
     start..start + len
 }
 
+/// Chunk-grid blocks a region intersects: per axis, the chunks from the
+/// one holding `start` through the one holding `end - 1`.
+fn blocks_touched(axes: &[Range<usize>], chunks: &[usize]) -> u64 {
+    axes.iter()
+        .zip(chunks)
+        .map(|(r, &c)| (r.end.div_ceil(c) - r.start / c) as u64)
+        .product()
+}
+
+/// xorshift64 step, returning the new state.
+fn xorshift(h: &mut u64) -> u64 {
+    *h ^= *h << 13;
+    *h ^= *h >> 7;
+    *h ^= *h << 17;
+    *h
+}
+
 proptest! {
     /// f32, rank 1–3, random grid: store reads == full-decode slices.
     #[test]
@@ -75,9 +92,14 @@ proptest! {
         for (a, b) in got.as_slice().iter().zip(&want) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        // The fast path really skipped work: a strict sub-region of a
-        // multi-block grid must decode strictly fewer than all blocks.
+        // The fast path really skipped work: a cold read decodes exactly
+        // the blocks the region intersects (a chunk extent of 0 means the
+        // full axis), each once.
+        let extents: Vec<usize> = (0..rank)
+            .map(|a| if chunks[a] == 0 { dims[a] } else { chunks[a].min(dims[a]) })
+            .collect();
         let s = store.stats();
+        prop_assert_eq!(s.blocks_decoded, blocks_touched(&axes, &extents));
         prop_assert_eq!(s.block_requests(), s.hits + s.misses);
         prop_assert_eq!(s.blocks_decoded, s.misses);
     }
@@ -148,12 +170,7 @@ fn concurrent_readers_under_cache_pressure_reconcile() {
         let full = Arc::clone(&full);
         handles.push(std::thread::spawn(move || {
             let mut h = t.wrapping_mul(0x2545F4914F6CDD1D) + 1;
-            let mut next = move || {
-                h ^= h << 13;
-                h ^= h >> 7;
-                h ^= h << 17;
-                h
-            };
+            let mut next = move || xorshift(&mut h);
             for _ in 0..12 {
                 let axes: Vec<Range<usize>> = (0..3)
                     .map(|a| sub_range([32, 24, 20][a], next(), next()))
@@ -199,6 +216,49 @@ fn concurrent_readers_under_cache_pressure_reconcile() {
     ] {
         let seen = report.counter(counter).unwrap_or(0);
         assert!(seen >= local, "obs {counter} = {seen} < store's {local}");
+    }
+}
+
+/// A 1/64-volume read decodes under 1/16 of the directory: a 32³ GRF in
+/// 4³ chunks (512 blocks), 16 xorshift-placed 8³ regions, each read on a
+/// fresh store so it starts cold. Aligned or not, an 8³ region touches at
+/// most 3³ = 27 blocks.
+#[test]
+fn small_region_reads_decode_under_a_sixteenth_of_the_blocks() {
+    use fixed_psnr::data::grf::grf_3d;
+    const DIM: usize = 32;
+    const EDGE: usize = DIM / 4;
+    const CHUNK: usize = DIM / 8;
+    let data = grf_3d(DIM, DIM, DIM, 3.0, 20180713)
+        .into_iter()
+        .map(|v| v as f32)
+        .collect();
+    let field = Field::from_vec(Shape::D3(DIM, DIM, DIM), data);
+    let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-4))
+        .with_auto_intervals(true)
+        .with_chunk_dims([CHUNK; 3]);
+    let bytes = sz::compress(&field, &cfg).unwrap();
+    let n_blocks = SzStore::<f32>::open(&bytes).unwrap().grid().n_blocks() as u64;
+    assert_eq!(n_blocks, 512);
+    let mut h = 0x2545F4914F6CDD1Du64;
+    for _ in 0..16 {
+        let axes: [Range<usize>; 3] = std::array::from_fn(|_| {
+            let start = (xorshift(&mut h) % (DIM - EDGE + 1) as u64) as usize;
+            start..start + EDGE
+        });
+        let store = SzStore::<f32>::open(&bytes).unwrap();
+        store.read_region(&Region::new(&axes).unwrap()).unwrap();
+        let decoded = store.stats().blocks_decoded;
+        assert_eq!(
+            decoded,
+            blocks_touched(&axes, &[CHUNK; 3]),
+            "region {axes:?}"
+        );
+        assert!(
+            decoded < n_blocks / 16,
+            "region {axes:?} decoded {decoded} of {n_blocks} blocks (gate < {})",
+            n_blocks / 16
+        );
     }
 }
 
