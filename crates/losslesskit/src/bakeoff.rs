@@ -96,6 +96,18 @@ const DEFLATE_MIN_GAIN: f64 = 0.02;
 /// distance code + extra bits ≈ 15..20 bits).
 const MATCH_TOKEN_COST: f64 = 2.3;
 
+/// Cap on the probe bound's repeat bitmap: 2²⁰ bits (128 KiB), i.e. 64
+/// bits per byte of a full [`PROBE_LEN`] probe.
+const REPEAT_BITMAP_MAX_BITS: u32 = 20;
+
+/// Relative slack on the probe bound's prune test. The full probe's gain
+/// is a float sum of at most `len/3` terms, each below 2⁹, so it can
+/// exceed its exact value by no more than about `len·2⁻⁴⁰`. Pruning only
+/// when the bound undercuts the bar by a relative 2⁻²⁰ (≥ 7·10⁻⁵ B on the
+/// smallest probed chunk) keeps every pruned chunk one the full probe
+/// would have rejected too.
+const PRUNE_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
+
 /// On chunks above [`SMALL_CHUNK`], a coded backend must undercut stored
 /// by more than `chunk_len >> MARGIN_SHIFT` (≈1.6%) to displace it:
 /// decoding a quarter-megabyte chunk is never free, and sub-percent wins
@@ -165,6 +177,13 @@ pub struct BakeoffStats {
     pub raw_bytes: [u64; 4],
     /// Compressed payload bytes produced by each backend.
     pub comp_bytes: [u64; 4],
+    /// LZ probes the repeat bound settled without parsing.
+    pub probes_pruned: u64,
+    /// LZ probes that ran the full [`lz77::fast_match_gain`] parse.
+    pub probes_scanned: u64,
+    /// Huffman candidates not encoded because their exact size could not
+    /// beat the incumbent.
+    pub huffman_skipped: u64,
 }
 
 /// One chunk's directory entry, as reported by [`inspect`].
@@ -178,35 +197,67 @@ pub struct ChunkInfo {
     pub comp_len: usize,
 }
 
-fn encode_chunk_as(chunk: &[u8], backend: Backend, effort: Effort) -> Vec<u8> {
+fn encode_chunk_as(chunk: &[u8], backend: Backend, effort: Effort) -> Cow<'_, [u8]> {
     match backend {
-        Backend::Stored => chunk.to_vec(),
-        Backend::Deflate => lz_compress_with(chunk, effort),
+        Backend::Stored => Cow::Borrowed(chunk),
+        Backend::Deflate => Cow::Owned(lz_compress_with(chunk, effort)),
         Backend::Huffman => {
-            let counts = freq::count_bytes(chunk);
-            let codec = HuffmanCodec::from_counts(&counts);
-            let symbols: Vec<u32> = chunk.iter().map(|&b| b as u32).collect();
-            let mut out = Vec::with_capacity(chunk.len() / 2 + 64);
-            codec.write_table(&mut out);
-            let blob = mshuf::encode(&symbols, &codec, mshuf::HUFF_STREAMS);
-            out.extend_from_slice(&blob);
-            out
+            Cow::Owned(HuffmanTrial::new(&freq::count_bytes_lanes(chunk)).encode(chunk))
         }
         Backend::Range => {
             let symbols: Vec<u32> = chunk.iter().map(|&b| b as u32).collect();
-            range::range_encode(&symbols, 256)
+            Cow::Owned(range::range_encode(&symbols, 256))
         }
     }
 }
 
-/// Candidate backends worth actually encoding for this chunk, from cheap
-/// statistics. `Stored` is always the implicit baseline and not listed.
-fn candidates(chunk: &[u8]) -> Vec<Backend> {
+// `HuffmanTrial` sizes exactly one stream per `count_bytes_lanes` lane.
+const _: () = assert!(mshuf::HUFF_STREAMS == 4);
+
+/// The Huffman backend's trial for one chunk: codec and serialized table
+/// built once, and the exact payload length known before a bit is coded.
+struct HuffmanTrial {
+    codec: HuffmanCodec,
+    table: Vec<u8>,
+    /// Exact length of [`HuffmanTrial::encode`]'s output.
+    len: usize,
+}
+
+impl HuffmanTrial {
+    /// Size the chunk with per-lane byte counts `lanes`
+    /// ([`freq::count_bytes_lanes`]): the table, the stream-count byte,
+    /// then per round-robin stream one length varint and ⌈bits/8⌉ bytes.
+    fn new(lanes: &[[u64; 256]; 4]) -> Self {
+        let codec = HuffmanCodec::from_counts(&freq::merge_lanes(lanes));
+        let mut table = Vec::new();
+        codec.write_table(&mut table);
+        let mut len = table.len() + 1;
+        for lane in lanes {
+            let bytes = codec.encoded_bits(lane).div_ceil(8);
+            len += varint::len_u64(bytes) + bytes as usize;
+        }
+        HuffmanTrial { codec, table, len }
+    }
+
+    /// Table ‖ [`mshuf`] blob of the chunk's bytes as symbols.
+    fn encode(self, chunk: &[u8]) -> Vec<u8> {
+        let symbols: Vec<u32> = chunk.iter().map(|&b| b as u32).collect();
+        let mut out = self.table;
+        out.reserve_exact(self.len - out.len());
+        out.extend_from_slice(&mshuf::encode(&symbols, &self.codec, mshuf::HUFF_STREAMS));
+        debug_assert_eq!(out.len(), self.len);
+        out
+    }
+}
+
+/// Candidate backends worth actually encoding for a chunk with byte
+/// histogram `counts`, from cheap statistics. `Stored` is always the
+/// implicit baseline and not listed.
+fn candidates(chunk: &[u8], counts: &[u64; 256], stats: &mut BakeoffStats) -> Vec<Backend> {
     if chunk.len() <= SMALL_CHUNK {
         return vec![Backend::Deflate, Backend::Huffman, Backend::Range];
     }
-    let counts = freq::count_bytes(chunk);
-    let h = freq::shannon_entropy(&counts);
+    let h = freq::shannon_entropy(counts);
     let mut out = Vec::with_capacity(3);
     // DEFLATE is tried exactly when the bounded match probe predicts a
     // real match gain: without one it can only tie the Huffman backend's
@@ -216,13 +267,7 @@ fn candidates(chunk: &[u8]) -> Vec<Backend> {
     let probe_at = (chunk.len() - PROBE_LEN.min(chunk.len())) / 2;
     let probe = &chunk[probe_at..probe_at + PROBE_LEN.min(chunk.len())];
     let lit_cost = (h / 8.0).min(1.0);
-    let mut gain = 0.0f64;
-    for t in lz77::tokenize(probe, Effort::Fast) {
-        if let lz77::Token::Match { len, .. } = t {
-            gain += (len as f64 * lit_cost - MATCH_TOKEN_COST).max(0.0);
-        }
-    }
-    if gain > DEFLATE_MIN_GAIN * probe.len() as f64 {
+    if probe_predicts_gain(probe, lit_cost, stats) {
         out.push(Backend::Deflate);
     }
     if h < ENTROPY_SKIP {
@@ -232,6 +277,89 @@ fn candidates(chunk: &[u8]) -> Vec<Backend> {
         out.push(Backend::Range);
     }
     out
+}
+
+/// Whether the greedy [`Effort::Fast`] parse of `probe` gains more than
+/// [`DEFLATE_MIN_GAIN`] of its length under the match-gain model.
+///
+/// A match of length `L` gains `(L·lit_cost − MATCH_TOKEN_COST)⁺ ≤
+/// (L − 2)·lit_cost` (as `lit_cost ≤ 1`), and each of the `L − 2`
+/// positions it covers starts a 3-gram that also starts at an earlier
+/// position. So the gain is at most `lit_cost · R`, with `R` the number
+/// of positions whose 3-gram (hashed; collisions only raise `R`) was
+/// seen before. When that bound already misses the bar, the parse is
+/// skipped: on incompressible chunks it almost always does.
+fn probe_predicts_gain(probe: &[u8], lit_cost: f64, stats: &mut BakeoffStats) -> bool {
+    let bar = DEFLATE_MIN_GAIN * probe.len() as f64;
+    if lit_cost * repeated_trigrams(probe) as f64 <= bar * (1.0 - PRUNE_SLACK) {
+        stats.probes_pruned += 1;
+        return false;
+    }
+    stats.probes_scanned += 1;
+    lz77::fast_match_gain(probe, lit_cost, MATCH_TOKEN_COST) > bar
+}
+
+/// Positions of `data` whose 3-gram hashes to a bitmap bit an earlier
+/// position already set: an upper bound on the positions whose 3-gram
+/// occurs earlier. The bitmap holds about 64 bits per byte, so random
+/// data collides on ~1 position in 64 at most.
+fn repeated_trigrams(data: &[u8]) -> usize {
+    let bits = (data.len() * 64)
+        .next_power_of_two()
+        .trailing_zeros()
+        .clamp(6, REPEAT_BITMAP_MAX_BITS);
+    let mut seen = vec![0u64; 1 << (bits - 6)];
+    let mut repeats = 0usize;
+    for w in data.windows(3) {
+        let v = u32::from(w[0]) | u32::from(w[1]) << 8 | u32::from(w[2]) << 16;
+        let k = (v.wrapping_mul(0x9E37_79B1) >> (32 - bits)) as usize;
+        let (word, bit) = (k >> 6, 1u64 << (k & 63));
+        repeats += usize::from(seen[word] & bit != 0);
+        seen[word] |= bit;
+    }
+    repeats
+}
+
+/// The bake-off for one chunk. Candidates are tried in decode-speed
+/// order: a coded backend must beat stored by the decode-cost margin,
+/// and a slower candidate must strictly beat the faster incumbent.
+/// Stored is the chunk itself, borrowed rather than copied.
+fn choose_backend<'a>(
+    chunk: &'a [u8],
+    effort: Effort,
+    stats: &mut BakeoffStats,
+) -> (Backend, Cow<'a, [u8]>) {
+    let margin = if chunk.len() > SMALL_CHUNK {
+        chunk.len() >> MARGIN_SHIFT
+    } else {
+        0
+    };
+    let lanes = freq::count_bytes_lanes(chunk);
+    let counts = freq::merge_lanes(&lanes);
+    let mut best = (Backend::Stored, Cow::Borrowed(chunk));
+    for cand in candidates(chunk, &counts, stats) {
+        let bar = if best.0 == Backend::Stored {
+            chunk.len().saturating_sub(margin)
+        } else {
+            best.1.len()
+        };
+        let enc = if cand == Backend::Huffman {
+            // Sized exactly first: a trial that cannot clear the bar is
+            // never encoded.
+            let trial = HuffmanTrial::new(&lanes);
+            if trial.len >= bar {
+                stats.huffman_skipped += 1;
+                continue;
+            }
+            Cow::Owned(trial.encode(chunk))
+        } else {
+            encode_chunk_as(chunk, cand, effort)
+        };
+        if enc.len() < bar {
+            best = (cand, enc);
+        }
+    }
+    best
 }
 
 /// Compress `data` with per-chunk backend selection at the default
@@ -284,29 +412,7 @@ fn compress_inner(
     for chunk in data.chunks(chunk_size) {
         let (backend, payload) = match forced {
             Some(b) => (b, encode_chunk_as(chunk, b, effort)),
-            None => {
-                // Candidates tried in decode-speed order: a coded backend
-                // must beat stored by the decode-cost margin, and a slower
-                // candidate must strictly beat the faster incumbent.
-                let margin = if chunk.len() > SMALL_CHUNK {
-                    chunk.len() >> MARGIN_SHIFT
-                } else {
-                    0
-                };
-                let mut best = (Backend::Stored, chunk.to_vec());
-                for cand in candidates(chunk) {
-                    let enc = encode_chunk_as(chunk, cand, effort);
-                    let bar = if best.0 == Backend::Stored {
-                        best.1.len().saturating_sub(margin)
-                    } else {
-                        best.1.len()
-                    };
-                    if enc.len() < bar {
-                        best = (cand, enc);
-                    }
-                }
-                best
-            }
+            None => choose_backend(chunk, effort, &mut stats),
         };
         let idx = backend as usize;
         stats.chunks[idx] += 1;
@@ -505,6 +611,221 @@ pub fn inspect(src: &[u8]) -> Result<(usize, Vec<ChunkInfo>), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bake-off's candidate rule as first written: a full token-vector
+    /// parse of the probe on every large chunk.
+    fn candidates_oracle(chunk: &[u8]) -> Vec<Backend> {
+        if chunk.len() <= SMALL_CHUNK {
+            return vec![Backend::Deflate, Backend::Huffman, Backend::Range];
+        }
+        let counts = freq::count_bytes(chunk);
+        let h = freq::shannon_entropy(&counts);
+        let mut out = Vec::with_capacity(3);
+        let probe = oracle_probe(chunk);
+        if oracle_gain(probe, (h / 8.0).min(1.0)) > DEFLATE_MIN_GAIN * probe.len() as f64 {
+            out.push(Backend::Deflate);
+        }
+        if h < ENTROPY_SKIP {
+            out.push(Backend::Huffman);
+        }
+        if h < ENTROPY_RANGE {
+            out.push(Backend::Range);
+        }
+        out
+    }
+
+    fn oracle_probe(chunk: &[u8]) -> &[u8] {
+        let probe_at = (chunk.len() - PROBE_LEN.min(chunk.len())) / 2;
+        &chunk[probe_at..probe_at + PROBE_LEN.min(chunk.len())]
+    }
+
+    fn oracle_gain(probe: &[u8], lit_cost: f64) -> f64 {
+        let mut gain = 0.0f64;
+        for t in lz77::tokenize(probe, Effort::Fast) {
+            if let lz77::Token::Match { len, .. } = t {
+                gain += (len as f64 * lit_cost - MATCH_TOKEN_COST).max(0.0);
+            }
+        }
+        gain
+    }
+
+    /// The bake-off as first written: every oracle candidate encoded,
+    /// stored copied as the incumbent.
+    fn compress_oracle(data: &[u8], effort: Effort, chunk_size: usize) -> (Vec<u8>, [u64; 4]) {
+        let mut out = Vec::new();
+        varint::write_u64(&mut out, data.len() as u64);
+        varint::write_u64(&mut out, chunk_size as u64);
+        varint::write_u64(&mut out, data.len().div_ceil(chunk_size) as u64);
+        let mut chunks = [0u64; 4];
+        for chunk in data.chunks(chunk_size) {
+            let margin = if chunk.len() > SMALL_CHUNK {
+                chunk.len() >> MARGIN_SHIFT
+            } else {
+                0
+            };
+            let mut best = (Backend::Stored, chunk.to_vec());
+            for cand in candidates_oracle(chunk) {
+                let enc = encode_chunk_as(chunk, cand, effort).into_owned();
+                let bar = if best.0 == Backend::Stored {
+                    best.1.len().saturating_sub(margin)
+                } else {
+                    best.1.len()
+                };
+                if enc.len() < bar {
+                    best = (cand, enc);
+                }
+            }
+            chunks[best.0 as usize] += 1;
+            out.push(best.0 as u8);
+            varint::write_u64(&mut out, best.1.len() as u64);
+            out.extend_from_slice(&best.1);
+        }
+        (out, chunks)
+    }
+
+    /// One of six byte-stream families the bake-off meets: noise, skewed
+    /// bytes, a short period, constant runs, an f64 ramp, and noise with
+    /// sparse back-copies, whose match gain straddles the DEFLATE bar.
+    fn family(kind: u8, len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        match kind {
+            0 => (0..len).map(|_| next() as u8).collect(),
+            1 => (0..len)
+                .map(|_| {
+                    let x = next();
+                    if x % 8 < 7 {
+                        (x >> 8) as u8 % 6
+                    } else {
+                        (x >> 8) as u8
+                    }
+                })
+                .collect(),
+            2 => {
+                let period: Vec<u8> = (0..1 + next() % 200).map(|_| next() as u8).collect();
+                period.iter().copied().cycle().take(len).collect()
+            }
+            3 => {
+                let mut out = Vec::with_capacity(len);
+                while out.len() < len {
+                    let run = 1 + (next() % 300) as usize;
+                    let b = next() as u8;
+                    out.extend(std::iter::repeat_n(b, run.min(len - out.len())));
+                }
+                out
+            }
+            4 => {
+                let (a, d) = ((next() % 1000) as f64, 1e-3 * (1 + next() % 100) as f64);
+                let mut out: Vec<u8> = (0..len.div_ceil(8))
+                    .flat_map(|i| (a + d * i as f64).to_le_bytes())
+                    .collect();
+                out.truncate(len);
+                out
+            }
+            _ => {
+                // One copy of 3..=12 bytes per ~1/p positions, p < 1%.
+                let per_10k = next() % 100;
+                let mut out = Vec::with_capacity(len);
+                while out.len() < len {
+                    if out.len() > 16 && next() % 10_000 < per_10k {
+                        let from = out.len() - 1 - (next() as usize % out.len().min(4096));
+                        let n = (3 + next() as usize % 10).min(len - out.len());
+                        for k in 0..n {
+                            out.push(out[from + k]);
+                        }
+                    } else {
+                        out.push(next() as u8);
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    proptest! {
+        /// The bound and the token-free probe change nothing: same
+        /// candidates, same bytes, same chunk counts, same probe gain.
+        #[test]
+        fn bakeoff_matches_the_tokenizing_oracle(
+            kind in 0u8..6,
+            len_class in 0u8..3,
+            len_seed in any::<u64>(),
+            seed in any::<u64>(),
+            small_chunks in proptest::bool::ANY,
+        ) {
+            let len = match len_class {
+                0 => (len_seed % 4097) as usize,
+                1 => 4097 + (len_seed % (16 * 1024 - 4096)) as usize,
+                _ => 16 * 1024 + 1 + (len_seed % (70_000 - 16 * 1024)) as usize,
+            };
+            let data = family(kind, len, seed);
+            let counts = freq::count_bytes(&data);
+            let mut stats = BakeoffStats::default();
+            prop_assert_eq!(candidates(&data, &counts, &mut stats), candidates_oracle(&data));
+            let probe = oracle_probe(&data);
+            let h = freq::shannon_entropy(&counts);
+            let lit_cost = (h / 8.0).min(1.0);
+            prop_assert_eq!(
+                lz77::fast_match_gain(probe, lit_cost, MATCH_TOKEN_COST).to_bits(),
+                oracle_gain(probe, lit_cost).to_bits()
+            );
+            let chunk_size = if small_chunks { 5 * 1024 } else { CHUNK_SIZE };
+            let (packed, stats) = compress_chunked(&data, Effort::Default, chunk_size);
+            let (want, want_chunks) = compress_oracle(&data, Effort::Default, chunk_size);
+            prop_assert!(packed == want, "bytes differ: kind {} len {}", kind, len);
+            prop_assert_eq!(stats.chunks, want_chunks);
+        }
+    }
+
+    #[test]
+    fn huffman_trial_size_is_exact() {
+        let mut all_values: Vec<u8> = (0..=255u8).collect();
+        all_values.extend((0..=255u8).rev());
+        let cases: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![42],
+            vec![7; 1000],
+            vec![7; 1001],
+            all_values,
+            family(1, 4099, 5),
+            family(4, 10_003, 9),
+            family(0, 6, 3),
+        ];
+        for chunk in &cases {
+            let trial = HuffmanTrial::new(&freq::count_bytes_lanes(chunk));
+            let encoded = encode_chunk_as(chunk, Backend::Huffman, Effort::Default);
+            assert_eq!(trial.len, encoded.len(), "len {}", chunk.len());
+            let mut pos = 0;
+            let codec = HuffmanCodec::read_table(&encoded, &mut pos).unwrap();
+            let back = mshuf::decode_all(&encoded[pos..], &codec, chunk.len()).unwrap();
+            assert!(back.iter().map(|&s| s as u8).eq(chunk.iter().copied()));
+        }
+    }
+
+    #[test]
+    fn probe_and_trial_counts_are_exact() {
+        // Eight 5 KiB noise chunks: the repeat bound settles every probe,
+        // entropy rules Huffman out, and everything stores.
+        let (_, stats) = compress_chunked(&noisy(8 * 5120), Effort::Default, 5120);
+        assert_eq!((stats.probes_pruned, stats.probes_scanned), (8, 0));
+        assert_eq!(stats.huffman_skipped, 0);
+        assert_eq!(stats.chunks[Backend::Stored as usize], 8);
+        // A short-period chunk: the bound cannot decide, the parse finds the
+        // repeats, DEFLATE wins, and the Huffman trial is sized and dropped.
+        let periodic = family(2, 20_000, 1);
+        let (packed, stats) = compress_chunked(&periodic, Effort::Default, CHUNK_SIZE);
+        assert_eq!((stats.probes_pruned, stats.probes_scanned), (0, 1));
+        assert_eq!(stats.chunks[Backend::Deflate as usize], 1);
+        assert_eq!(stats.huffman_skipped, 1);
+        let back = decompress_bounded(&packed, periodic.len()).unwrap();
+        assert_eq!(back.as_ref(), &periodic[..]);
+    }
 
     fn skewed(n: usize) -> Vec<u8> {
         (0..n)

@@ -68,9 +68,10 @@ pub fn count_dense(symbols: &[u32], alphabet: usize) -> Vec<u64> {
 
 /// Count occurrences of each byte value.
 ///
-/// Uses four split tables (the scratch is 8 KiB, always cache-resident)
-/// for the same dependency-breaking reason as [`count_dense`]; the
-/// single-table loop is the `FPSNR_SIMD=off` reference path.
+/// Counts through [`count_bytes_lanes`]' four split tables (the scratch
+/// is 8 KiB, always cache-resident) for the same dependency-breaking
+/// reason as [`count_dense`]; the single-table loop is the
+/// `FPSNR_SIMD=off` reference path.
 pub fn count_bytes(bytes: &[u8]) -> [u64; 256] {
     if simd::active() < SimdLevel::Sse2 {
         let mut counts = [0u64; 256];
@@ -79,6 +80,15 @@ pub fn count_bytes(bytes: &[u8]) -> [u64; 256] {
         }
         return counts;
     }
+    merge_lanes(&count_bytes_lanes(bytes))
+}
+
+/// Byte counts split by position modulo 4: `lanes[k][b]` counts the
+/// positions `i ≡ k (mod 4)` holding byte `b`. These are the symbol
+/// counts of the four round-robin streams of a [`crate::mshuf`] blob
+/// with [`crate::mshuf::HUFF_STREAMS`] streams, which is what sizes a
+/// Huffman-coded chunk exactly before encoding it.
+pub fn count_bytes_lanes(bytes: &[u8]) -> [[u64; 256]; 4] {
     let mut t = [[0u64; 256]; 4];
     let mut quads = bytes.chunks_exact(4);
     for q in &mut quads {
@@ -87,14 +97,15 @@ pub fn count_bytes(bytes: &[u8]) -> [u64; 256] {
         t[2][q[2] as usize] += 1;
         t[3][q[3] as usize] += 1;
     }
-    for &b in quads.remainder() {
-        t[0][b as usize] += 1;
+    for (k, &b) in quads.remainder().iter().enumerate() {
+        t[k][b as usize] += 1;
     }
-    let mut counts = [0u64; 256];
-    for i in 0..256 {
-        counts[i] = t[0][i] + t[1][i] + t[2][i] + t[3][i];
-    }
-    counts
+    t
+}
+
+/// Whole-input byte counts from [`count_bytes_lanes`]' per-lane counts.
+pub fn merge_lanes(lanes: &[[u64; 256]; 4]) -> [u64; 256] {
+    std::array::from_fn(|b| lanes[0][b] + lanes[1][b] + lanes[2][b] + lanes[3][b])
 }
 
 /// Shannon entropy in bits/symbol of a frequency table.
@@ -176,6 +187,16 @@ mod tests {
         assert_eq!(counts[255], 2);
         assert_eq!(counts[7], 1);
         assert_eq!(counts[1], 0);
+    }
+
+    #[test]
+    fn byte_lanes_split_by_position_mod_4() {
+        let bytes: Vec<u8> = (0..11u8).collect();
+        let lanes = count_bytes_lanes(&bytes);
+        for (i, &b) in bytes.iter().enumerate() {
+            assert_eq!(lanes[i % 4][b as usize], 1, "byte {i}");
+        }
+        assert_eq!(merge_lanes(&lanes), count_bytes(&bytes));
     }
 
     #[test]

@@ -190,12 +190,37 @@ fn chain_insert(data: &[u8], head: &mut [u32], prev: &mut [u32], j: usize) {
 /// search, so total work stays linear (the property the adversarial test
 /// asserts via [`MatchStats`]).
 pub fn tokenize_with_stats(data: &[u8], effort: Effort) -> (Vec<Token>, MatchStats) {
+    let mut tokens = Vec::with_capacity(data.len() / 4 + 16);
+    let stats = parse(data, effort, |t| tokens.push(t));
+    (tokens, stats)
+}
+
+/// Sum of the modelled match gain `(len·lit_cost − token_cost)⁺` over the
+/// matches of the greedy [`Effort::Fast`] parse of `data`.
+///
+/// This is the bake-off's LZ probe. It runs the same parse as
+/// [`tokenize`] and adds the terms in token order, so the result is
+/// bit-equal to summing over `tokenize(data, Effort::Fast)`, but no token
+/// vector is built.
+pub fn fast_match_gain(data: &[u8], lit_cost: f64, token_cost: f64) -> f64 {
+    let mut gain = 0.0f64;
+    parse(data, Effort::Fast, |t| {
+        if let Token::Match { len, .. } = t {
+            gain += (len as f64 * lit_cost - token_cost).max(0.0);
+        }
+    });
+    gain
+}
+
+/// The matcher behind [`tokenize_with_stats`] and [`fast_match_gain`]:
+/// hands every token to `emit` in stream order and returns the work
+/// counters.
+fn parse(data: &[u8], effort: Effort, mut emit: impl FnMut(Token)) -> MatchStats {
     let n = data.len();
     let mut stats = MatchStats::default();
-    let mut tokens = Vec::with_capacity(n / 4 + 16);
     if n < MIN_MATCH + 1 {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return (tokens, stats);
+        data.iter().for_each(|&b| emit(Token::Literal(b)));
+        return stats;
     }
     let max_chain = effort.max_chain();
     let budget = probe_budget(max_chain);
@@ -233,13 +258,13 @@ pub fn tokenize_with_stats(data: &[u8], effort: Effort) -> (Vec<Token>, MatchSta
                 let (len1, dist1, _) =
                     chain_search(data, &head, &prev, i + 1, max_chain, budget, level, &mut stats);
                 if len1 > best_len {
-                    tokens.push(Token::Literal(data[i]));
+                    emit(Token::Literal(data[i]));
                     i += 1;
                     best_len = len1;
                     best_dist = dist1;
                 }
             }
-            tokens.push(Token::Match {
+            emit(Token::Match {
                 len: best_len as u32,
                 dist: best_dist as u32,
             });
@@ -253,7 +278,7 @@ pub fn tokenize_with_stats(data: &[u8], effort: Effort) -> (Vec<Token>, MatchSta
             }
             i += best_len;
         } else {
-            tokens.push(Token::Literal(data[i]));
+            emit(Token::Literal(data[i]));
             if i + MIN_MATCH <= n {
                 prev[i] = head[h];
                 head[h] = i as u32;
@@ -261,7 +286,7 @@ pub fn tokenize_with_stats(data: &[u8], effort: Effort) -> (Vec<Token>, MatchSta
             i += 1;
         }
     }
-    (tokens, stats)
+    stats
 }
 
 /// Length of the common prefix of `data[a..]` and `data[b..]` (`a < b`),
@@ -551,6 +576,29 @@ mod tests {
                     want,
                     "mism={mism} level={level:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fast_match_gain_is_the_token_sum() {
+        let mut data: Vec<u8> = (0..3000u32).map(|i| (i % 37) as u8).collect();
+        let mut x = 7u32;
+        data.extend((0..3000).map(|_| {
+            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+            (x >> 24) as u8
+        }));
+        for (lit, tok) in [(1.0, 2.3), (0.37, 2.3), (0.99, 0.0)] {
+            for len in [0, 3, 4, 100, data.len()] {
+                let probe = &data[..len];
+                let mut want = 0.0f64;
+                for t in tokenize(probe, Effort::Fast) {
+                    if let Token::Match { len, .. } = t {
+                        want += (len as f64 * lit - tok).max(0.0);
+                    }
+                }
+                let got = fast_match_gain(probe, lit, tok);
+                assert_eq!(got.to_bits(), want.to_bits(), "len={len} lit={lit}");
             }
         }
     }

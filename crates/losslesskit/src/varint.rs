@@ -19,6 +19,11 @@ pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Number of bytes [`write_u64`] appends for `v`.
+pub fn len_u64(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Decode an unsigned LEB128 varint from `src[*pos..]`, advancing `*pos`.
 ///
 /// # Errors
@@ -93,7 +98,9 @@ mod tests {
         }
         let mut pos = 0;
         for &v in &vals {
+            let start = pos;
             assert_eq!(read_u64(&buf, &mut pos).unwrap(), v);
+            assert_eq!(pos - start, len_u64(v), "len_u64({v})");
         }
         assert_eq!(pos, buf.len());
     }

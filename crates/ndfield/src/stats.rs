@@ -2,14 +2,14 @@
 //!
 //! The fixed-PSNR bound derivation (paper Eq. 7–8) needs exactly one data
 //! statistic: the value range `vr = max − min`. SZ computes it in a single
-//! pass before compression; we do the same and additionally track moments
-//! used by the data generators and the evaluation reports.
+//! pass before compression; we do the same, and count the non-finite
+//! samples the pointwise-relative mode carries aside.
 
 
 /// One-pass statistics over the finite samples of a field.
 ///
-/// Non-finite samples (NaN/±inf) are counted but excluded from min/max and
-/// moments, matching how SZ handles fill values in practice.
+/// Non-finite samples (NaN/±inf) are counted but excluded from min/max,
+/// matching how SZ handles fill values in practice.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FieldStats {
     /// Number of finite samples.
@@ -20,22 +20,15 @@ pub struct FieldStats {
     pub min: f64,
     /// Maximum finite sample (`−inf` when `count == 0`).
     pub max: f64,
-    /// Arithmetic mean of finite samples (0 when `count == 0`).
-    pub mean: f64,
-    /// Population variance of finite samples (0 when `count == 0`).
-    pub variance: f64,
 }
 
 impl FieldStats {
-    /// Compute statistics from an iterator of samples using Welford's
-    /// numerically stable online algorithm.
+    /// Compute statistics from an iterator of samples in one pass.
     pub fn from_samples(samples: impl IntoIterator<Item = f64>) -> Self {
         let mut count = 0usize;
         let mut non_finite = 0usize;
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
-        let mut mean = 0.0f64;
-        let mut m2 = 0.0f64;
         for v in samples {
             if !v.is_finite() {
                 non_finite += 1;
@@ -48,18 +41,12 @@ impl FieldStats {
             if v > max {
                 max = v;
             }
-            let delta = v - mean;
-            mean += delta / count as f64;
-            m2 += delta * (v - mean);
         }
-        let variance = if count > 0 { m2 / count as f64 } else { 0.0 };
         FieldStats {
             count,
             non_finite,
             min,
             max,
-            mean: if count > 0 { mean } else { 0.0 },
-            variance,
         }
     }
 
@@ -70,11 +57,6 @@ impl FieldStats {
         } else {
             self.max - self.min
         }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance.sqrt()
     }
 }
 
@@ -105,48 +87,61 @@ mod tests {
     #[test]
     fn empty_stats() {
         let s = FieldStats::from_samples(std::iter::empty());
-        assert_eq!(s.count, 0);
+        assert_eq!((s.count, s.non_finite), (0, 0));
+        assert_eq!((s.min, s.max), (f64::INFINITY, f64::NEG_INFINITY));
         assert_eq!(s.range(), 0.0);
-        assert_eq!(s.mean, 0.0);
     }
 
     #[test]
-    fn basic_moments() {
-        let s = FieldStats::from_samples([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.mean, 2.5);
-        assert!((s.variance - 1.25).abs() < 1e-12);
-        assert_eq!(s.range(), 3.0);
+    fn min_max_and_range() {
+        let s = FieldStats::from_samples([3.0, -1.5, 4.0, 1.0]);
+        assert_eq!((s.count, s.non_finite), (4, 0));
+        assert_eq!((s.min, s.max), (-1.5, 4.0));
+        assert_eq!(s.range(), 5.5);
     }
 
     #[test]
     fn skips_non_finite() {
-        let s = FieldStats::from_samples([1.0, f64::NAN, 3.0, f64::INFINITY]);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.non_finite, 2);
-        assert_eq!(s.mean, 2.0);
+        let s = FieldStats::from_samples([
+            f64::NAN,
+            1.0,
+            f64::INFINITY,
+            3.0,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+        ]);
+        assert_eq!((s.count, s.non_finite), (2, 4));
+        assert_eq!((s.min, s.max), (1.0, 3.0));
         assert_eq!(s.range(), 2.0);
+        let all_bad = FieldStats::from_samples([f64::NAN, f64::INFINITY]);
+        assert_eq!((all_bad.count, all_bad.non_finite), (0, 2));
+        assert_eq!(all_bad.range(), 0.0);
+    }
+
+    #[test]
+    fn signed_zeros_have_zero_range() {
+        let s = FieldStats::from_samples([0.0, -0.0, 0.0]);
+        assert_eq!(s.count, 3);
+        assert_eq!((s.min, s.max), (0.0, 0.0));
+        assert_eq!(s.range(), 0.0);
+        assert!(s.range().is_sign_positive());
+    }
+
+    #[test]
+    fn subnormals_are_finite_samples() {
+        let tiny = f64::from_bits(1); // smallest positive subnormal
+        let s = FieldStats::from_samples([tiny, -tiny, 0.0]);
+        assert_eq!((s.count, s.non_finite), (3, 0));
+        assert_eq!((s.min, s.max), (-tiny, tiny));
+        assert_eq!(s.range(), 2.0 * tiny);
+        assert!(s.range() > 0.0);
     }
 
     #[test]
     fn constant_field_has_zero_range() {
         let s = FieldStats::from_samples([5.0; 10]);
+        assert_eq!((s.min, s.max), (5.0, 5.0));
         assert_eq!(s.range(), 0.0);
-        assert_eq!(s.variance, 0.0);
-    }
-
-    #[test]
-    fn welford_matches_naive_on_large_offset() {
-        // Large common offset is where the naive sum-of-squares formula
-        // loses precision; Welford must not.
-        let vals: Vec<f64> = (0..1000).map(|i| 1.0e9 + (i % 7) as f64).collect();
-        let s = FieldStats::from_samples(vals.iter().copied());
-        let mean = vals.iter().sum::<f64>() / 1000.0;
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / 1000.0;
-        assert!((s.mean - mean).abs() / mean < 1e-12);
-        assert!((s.variance - var).abs() / var < 1e-6);
     }
 
     #[test]

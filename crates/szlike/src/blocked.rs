@@ -307,7 +307,7 @@ pub(crate) fn compress_blocked<T: Scalar>(
     // the payloads reuse that memory instead of adding to the peak.
     let encode_span = fpsnr_obs::span("sz.block.encode");
     let cells: Vec<Mutex<Option<_>>> = walks.into_iter().map(|w| Mutex::new(Some(w))).collect();
-    let blocks = fpsnr_parallel::par_map(&cells, threads, |cell| {
+    let mut blocks = fpsnr_parallel::par_map(&cells, threads, |cell| {
         let (model, w) = cell
             .lock()
             .expect("walk cell lock")
@@ -339,12 +339,20 @@ pub(crate) fn compress_blocked<T: Scalar>(
         let mut tsec = Vec::with_capacity(table_len + 10);
         varint::write_u64(&mut tsec, table.len() as u64);
         tsec.extend_from_slice(&table);
-        Some(apply_lossless(&tsec, cfg))
+        Some(apply_lossless(tsec, cfg))
     } else {
         None
     };
-    let packed: Vec<(u8, Vec<u8>)> =
-        fpsnr_parallel::par_map(&blocks, threads, |b| apply_lossless(&b.payload, cfg));
+    // Each task moves its payload out of its cell: a stored block keeps
+    // its buffer instead of being copied.
+    let cells: Vec<Mutex<Vec<u8>>> = blocks
+        .iter_mut()
+        .map(|b| Mutex::new(std::mem::take(&mut b.payload)))
+        .collect();
+    let packed: Vec<(u8, Vec<u8>)> = fpsnr_parallel::par_map(&cells, threads, |cell| {
+        let payload = std::mem::take(&mut *cell.lock().expect("payload cell lock"));
+        apply_lossless(payload, cfg)
+    });
     drop(lossless_span);
 
     // v2/v3/v4 layout: params, then a CRC-32 directory (one descriptor per

@@ -290,8 +290,7 @@ fn compress_raw<T: Scalar>(
     format::write_header(&mut out, T::TAG, Mode::Raw, field.shape())?;
     let raw = fio::to_le_bytes(field);
     let body_bytes = raw.len();
-    let (flag, payload) = apply_lossless(&raw, cfg);
-    drop(raw);
+    let (flag, payload) = apply_lossless(raw, cfg);
     out.push(flag);
     varint::write_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
@@ -312,15 +311,15 @@ fn compress_raw<T: Scalar>(
 
 /// Run the configured lossless backend; returns `(flag, bytes)` keeping the
 /// smaller of compressed/uncompressed so the backend can never inflate.
-/// The input is borrowed; it is copied only when stored as-is (flag 0).
+/// When stored as-is (flag 0) the body comes back untouched, never copied.
 ///
 /// The `Lz` backend runs the per-chunk bake-off (flag 2): each 256 KiB
 /// chunk independently picks stored/DEFLATE/Huffman/range by measured
 /// entropy and probe cost. Flag 1 (whole-body DEFLATE) remains decodable
 /// for containers written before v3.
-pub(crate) fn apply_lossless(body: &[u8], cfg: &SzConfig) -> (u8, Vec<u8>) {
+pub(crate) fn apply_lossless(body: Vec<u8>, cfg: &SzConfig) -> (u8, Vec<u8>) {
     if cfg.lossless == LosslessBackend::Lz {
-        let (baked, stats) = bakeoff::compress_with_stats(body, Effort::Default);
+        let (baked, stats) = bakeoff::compress_with_stats(&body, Effort::Default);
         if fpsnr_obs::is_enabled() {
             for (i, backend) in bakeoff::Backend::ALL.iter().enumerate() {
                 if stats.chunks[i] > 0 {
@@ -329,12 +328,21 @@ pub(crate) fn apply_lossless(body: &[u8], cfg: &SzConfig) -> (u8, Vec<u8>) {
                     fpsnr_obs::add(&format!("sz.lossless.bytes.{name}"), stats.comp_bytes[i]);
                 }
             }
+            for (name, n) in [
+                ("sz.lossless.probe.pruned", stats.probes_pruned),
+                ("sz.lossless.probe.scanned", stats.probes_scanned),
+                ("sz.lossless.trial.huffman_skipped", stats.huffman_skipped),
+            ] {
+                if n > 0 {
+                    fpsnr_obs::add(name, n);
+                }
+            }
         }
         if baked.len() < body.len() {
             return (2, baked);
         }
     }
-    (0, body.to_vec())
+    (0, body)
 }
 
 /// Inverse of [`apply_lossless`] with a hard cap on the inflated size, so a
@@ -434,9 +442,9 @@ fn compress_quantized<T: Scalar>(
     out.extend_from_slice(&model.coeff_bytes());
     // Stage 4 (sz.lossless): LZ pass over the serialized body.
     let lossless_span = fpsnr_obs::span("sz.lossless");
-    let (flag, payload) = apply_lossless(&body, cfg);
-    // Free the body before the container grows to its full size.
-    drop(body);
+    // The body moves in: freed before the container grows to its full
+    // size when it compresses, handed back as the payload when stored.
+    let (flag, payload) = apply_lossless(body, cfg);
     drop(lossless_span);
     out.push(flag);
     varint::write_u64(&mut out, payload.len() as u64);
@@ -503,7 +511,7 @@ fn compress_log_rel<T: Scalar>(
     let mut out = Vec::with_capacity(inner.len() + packed.len() + nonfinite.len() * T::BYTES + 64);
     format::write_header(&mut out, T::TAG, Mode::LogPointwiseRel, field.shape())?;
     out.extend_from_slice(&eb.to_le_bytes());
-    let (flag, class_payload) = apply_lossless(&packed, cfg);
+    let (flag, class_payload) = apply_lossless(packed, cfg);
     out.push(flag);
     varint::write_u64(&mut out, class_payload.len() as u64);
     out.extend_from_slice(&class_payload);
@@ -1215,6 +1223,35 @@ mod tests {
             .zip(b.as_slice())
             .map(|(x, y)| (x - y).abs() as f64)
             .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn stored_bodies_come_back_uncopied_with_probe_counters() {
+        // 300 KiB of noise: two bake-off chunks, both settled by the probe
+        // bound and stored, so the body itself is the payload.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let body: Vec<u8> = (0..300 * 1024)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect();
+        let (want, at) = (body.clone(), body.as_ptr());
+        let cfg = SzConfig::new(ErrorBound::Abs(1e-3));
+        fpsnr_obs::reset();
+        fpsnr_obs::enable();
+        let armed = fpsnr_obs::is_enabled(); // false when built with fpsnr-obs/off
+        let (flag, payload) = apply_lossless(body, &cfg);
+        fpsnr_obs::disable();
+        assert_eq!((flag, payload.as_ptr()), (0, at));
+        assert_eq!(payload, want);
+        if armed {
+            // Other tests may compress while the registry is armed, so
+            // the counters are lower bounds here.
+            let report = fpsnr_obs::snapshot();
+            assert!(report.counter("sz.lossless.probe.pruned").unwrap_or(0) >= 2);
+            assert!(report.counter("sz.lossless.chunks.stored").unwrap_or(0) >= 2);
+        }
     }
 
     #[test]
