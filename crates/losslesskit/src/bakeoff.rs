@@ -372,12 +372,22 @@ pub fn compress(data: &[u8], effort: Effort) -> Vec<u8> {
 
 /// [`compress`] that also reports per-backend byte accounting.
 pub fn compress_with_stats(data: &[u8], effort: Effort) -> (Vec<u8>, BakeoffStats) {
-    compress_inner(data, effort, CHUNK_SIZE, None)
+    let (out, stats) = compress_inner(data, effort, CHUNK_SIZE, None, false);
+    (out.expect("stored chunks are written"), stats)
+}
+
+/// [`compress_with_stats`], except that no container is built when every
+/// chunk stores (`None`): it would be `data` plus its directory, larger
+/// than `data` itself, so a caller that keeps the smaller of the two
+/// would only drop it.
+pub fn compress_unless_stored(data: &[u8], effort: Effort) -> (Option<Vec<u8>>, BakeoffStats) {
+    compress_inner(data, effort, CHUNK_SIZE, None, true)
 }
 
 /// Test/bench entry: force every chunk through one backend (no bake-off).
 pub fn compress_forced(data: &[u8], effort: Effort, backend: Backend) -> Vec<u8> {
-    compress_inner(data, effort, CHUNK_SIZE, Some(backend)).0
+    let (out, _) = compress_inner(data, effort, CHUNK_SIZE, Some(backend), false);
+    out.expect("stored chunks are written")
 }
 
 /// Test entry: [`compress_with_stats`] at a caller-chosen chunk size, so
@@ -390,26 +400,41 @@ pub fn compress_chunked(
     effort: Effort,
     chunk_size: usize,
 ) -> (Vec<u8>, BakeoffStats) {
-    compress_inner(data, effort, chunk_size, None)
+    let (out, stats) = compress_inner(data, effort, chunk_size, None, false);
+    (out.expect("stored chunks are written"), stats)
 }
 
+/// The bake-off over `data` in `chunk_size` chunks. With `elide_stored`,
+/// the container is only started at the first chunk that does not store
+/// (writing the stored chunks before it then), so an all-stored input
+/// builds nothing and returns `None`; otherwise the result is `Some`.
 fn compress_inner(
     data: &[u8],
     effort: Effort,
     chunk_size: usize,
     forced: Option<Backend>,
-) -> (Vec<u8>, BakeoffStats) {
+    elide_stored: bool,
+) -> (Option<Vec<u8>>, BakeoffStats) {
     assert!(
         chunk_size >= 1 && chunk_size <= MAX_CHUNK_SIZE,
         "chunk_size {chunk_size} out of 1..={MAX_CHUNK_SIZE}"
     );
     let n_chunks = data.len().div_ceil(chunk_size);
-    let mut out = Vec::with_capacity(data.len() / 2 + 32);
-    varint::write_u64(&mut out, data.len() as u64);
-    varint::write_u64(&mut out, chunk_size as u64);
-    varint::write_u64(&mut out, n_chunks as u64);
+    let start = || {
+        let mut out = Vec::with_capacity(data.len() / 2 + 32);
+        varint::write_u64(&mut out, data.len() as u64);
+        varint::write_u64(&mut out, chunk_size as u64);
+        varint::write_u64(&mut out, n_chunks as u64);
+        out
+    };
+    let entry = |out: &mut Vec<u8>, backend: Backend, payload: &[u8]| {
+        out.push(backend as u8);
+        varint::write_u64(out, payload.len() as u64);
+        out.extend_from_slice(payload);
+    };
+    let mut out = (!elide_stored).then(start);
     let mut stats = BakeoffStats::default();
-    for chunk in data.chunks(chunk_size) {
+    for (i, chunk) in data.chunks(chunk_size).enumerate() {
         let (backend, payload) = match forced {
             Some(b) => (b, encode_chunk_as(chunk, b, effort)),
             None => choose_backend(chunk, effort, &mut stats),
@@ -418,9 +443,16 @@ fn compress_inner(
         stats.chunks[idx] += 1;
         stats.raw_bytes[idx] += chunk.len() as u64;
         stats.comp_bytes[idx] += payload.len() as u64;
-        out.push(backend as u8);
-        varint::write_u64(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+        if out.is_none() && backend != Backend::Stored {
+            let mut started = start();
+            for stored in data.chunks(chunk_size).take(i) {
+                entry(&mut started, Backend::Stored, stored);
+            }
+            out = Some(started);
+        }
+        if let Some(out) = out.as_mut() {
+            entry(out, backend, &payload);
+        }
     }
     (out, stats)
 }
@@ -780,6 +812,13 @@ mod tests {
             let (want, want_chunks) = compress_oracle(&data, Effort::Default, chunk_size);
             prop_assert!(packed == want, "bytes differ: kind {} len {}", kind, len);
             prop_assert_eq!(stats.chunks, want_chunks);
+            // Eliding an all-stored container changes nothing else.
+            let (elided, elided_stats) =
+                compress_inner(&data, Effort::Default, chunk_size, None, true);
+            prop_assert_eq!(elided_stats, stats);
+            let all_stored = stats.chunks[Backend::Stored as usize] == data.len().div_ceil(chunk_size) as u64;
+            prop_assert_eq!(elided.is_none(), all_stored);
+            prop_assert!(elided.is_none_or(|e| e == packed), "elided bytes differ");
         }
     }
 
@@ -889,6 +928,25 @@ mod tests {
         assert!(packed.len() <= data.len() + 64);
         let back = decompress_bounded(&packed, data.len()).unwrap();
         assert_eq!(back.as_ref(), &data[..]);
+    }
+
+    #[test]
+    fn all_stored_input_builds_no_container() {
+        for data in [noisy(20_000), Vec::new()] {
+            let (elided, stats) = compress_inner(&data, Effort::Default, 5 * 1024, None, true);
+            assert!(elided.is_none());
+            assert_eq!(stats, compress_chunked(&data, Effort::Default, 5 * 1024).1);
+        }
+        // Stored chunks before the first coded one are written when it
+        // comes; stored chunks after it as they come.
+        let mut data = noisy(12_000);
+        data.extend(skewed(6_000));
+        data.extend(noisy(5_000));
+        let (packed, stats) = compress_chunked(&data, Effort::Default, 5 * 1024);
+        assert!(stats.chunks[Backend::Stored as usize] >= 3, "{stats:?}");
+        let (elided, elided_stats) = compress_inner(&data, Effort::Default, 5 * 1024, None, true);
+        assert_eq!(elided_stats, stats);
+        assert_eq!(elided, Some(packed));
     }
 
     #[test]

@@ -311,7 +311,8 @@ fn compress_raw<T: Scalar>(
 
 /// Run the configured lossless backend; returns `(flag, bytes)` keeping the
 /// smaller of compressed/uncompressed so the backend can never inflate.
-/// When stored as-is (flag 0) the body comes back untouched, never copied.
+/// When stored as-is (flag 0) the body comes back untouched, never copied,
+/// and when every chunk stores no bake-off container is built at all.
 ///
 /// The `Lz` backend runs the per-chunk bake-off (flag 2): each 256 KiB
 /// chunk independently picks stored/DEFLATE/Huffman/range by measured
@@ -319,7 +320,7 @@ fn compress_raw<T: Scalar>(
 /// for containers written before v3.
 pub(crate) fn apply_lossless(body: Vec<u8>, cfg: &SzConfig) -> (u8, Vec<u8>) {
     if cfg.lossless == LosslessBackend::Lz {
-        let (baked, stats) = bakeoff::compress_with_stats(&body, Effort::Default);
+        let (baked, stats) = bakeoff::compress_unless_stored(&body, Effort::Default);
         if fpsnr_obs::is_enabled() {
             for (i, backend) in bakeoff::Backend::ALL.iter().enumerate() {
                 if stats.chunks[i] > 0 {
@@ -338,7 +339,7 @@ pub(crate) fn apply_lossless(body: Vec<u8>, cfg: &SzConfig) -> (u8, Vec<u8>) {
                 }
             }
         }
-        if baked.len() < body.len() {
+        if let Some(baked) = baked.filter(|baked| baked.len() < body.len()) {
             return (2, baked);
         }
     }

@@ -390,77 +390,136 @@ pub fn spline_predict(recon: &[f64], shape: Shape, lin: usize) -> f64 {
 /// prediction model, not a correctness dependency); a fit with no finite
 /// samples, or any non-finite coefficient, degrades to the zero plane.
 pub fn fit_regression<T: ndfield::Scalar>(data: &[T], shape: Shape) -> [f64; 4] {
+    debug_assert_eq!(data.len(), shape.len());
+    let _span = fpsnr_obs::span("sz.select.regression_fit");
     let dims = shape.dims();
-    let rank = dims.len();
     // Axis means over the full grid: (d−1)/2.
     let mut cbar = [0.0f64; 3];
     for (a, &d) in dims.iter().enumerate() {
         cbar[a] = (d as f64 - 1.0) / 2.0;
     }
-    // Accumulate against grid-centered coordinates u = c − c̄_grid (small
-    // magnitudes), then correct for the mean of the *included* points: when
-    // non-finite samples are skipped the included-coordinate mean shifts
-    // away from the grid mean, and using the raw sums would bias the slope.
-    // On a complete grid Σu is exactly 0 and the correction terms vanish
-    // bit for bit.
-    let mut n = 0.0f64;
-    let mut sx = 0.0f64;
-    let mut su = [0.0f64; 3]; // Σ uₐ over *finite* samples
-    let mut sxu = [0.0f64; 3]; // Σ x·uₐ
-    let mut suu = [0.0f64; 3]; // Σ uₐ²
+    plane_sums(data, shape, &cbar).plane(dims.len(), &cbar)
+}
 
-    // Row-major coordinates of the current sample, advanced like an
-    // odometer instead of divided out of the linear index.
-    let mut next = [0usize; 3];
-    for v in data {
-        let coords = next;
-        for a in (0..rank).rev() {
-            next[a] += 1;
-            if a == 0 || next[a] < dims[a] {
-                break;
+/// Running sums of the least-squares plane fit over the finite samples:
+/// their count, `Σ x`, and per axis `Σ uₐ`, `Σ x·uₐ` and `Σ uₐ²` against
+/// grid-centred coordinates.
+#[derive(Clone, Copy, Default)]
+struct PlaneSums {
+    n: f64,
+    sx: f64,
+    su: [f64; 3],
+    sxu: [f64; 3],
+    suu: [f64; 3],
+}
+
+/// [`PlaneSums`] of `data` shaped `shape`, against coordinates centred on
+/// the grid means `cbar`.
+///
+/// Accumulating against grid-centred coordinates `u = c − c̄_grid` keeps
+/// magnitudes small; [`PlaneSums::plane`] then corrects for the mean of
+/// the *included* points: when non-finite samples are skipped the
+/// included-coordinate mean shifts away from the grid mean, and using the
+/// raw sums would bias the slope. On a complete grid Σu is exactly 0 and
+/// the correction terms vanish bit for bit.
+///
+/// Row by row: the outer coordinates are fixed along a row, so their `u`
+/// and `u²` are computed once per row. Every sum still adds the same
+/// terms in scan order, so the sums are those of a per-sample loop bit
+/// for bit.
+fn plane_sums<T: ndfield::Scalar>(data: &[T], shape: Shape, cbar: &[f64; 3]) -> PlaneSums {
+    let mut acc = PlaneSums::default();
+    let inner = *shape.dims().last().expect("a shape has at least one axis");
+    if inner == 0 {
+        return acc;
+    }
+    match shape {
+        Shape::D1(_) => acc.add_row(data, [], cbar[0]),
+        Shape::D2(..) => {
+            for (i, row) in data.chunks_exact(inner).enumerate() {
+                acc.add_row(row, [i as f64 - cbar[0]], cbar[1]);
             }
-            next[a] = 0;
         }
-        let x = v.to_f64();
-        if !x.is_finite() {
-            continue;
+        Shape::D3(_, d1, _) => {
+            for (i, plane) in data.chunks_exact(d1 * inner).enumerate() {
+                let ui = i as f64 - cbar[0];
+                for (j, row) in plane.chunks_exact(inner).enumerate() {
+                    acc.add_row(row, [ui, j as f64 - cbar[1]], cbar[2]);
+                }
+            }
         }
-        n += 1.0;
-        sx += x;
+    }
+    acc
+}
+
+impl PlaneSums {
+    /// Add one innermost row whose outer axes sit at the centred
+    /// coordinates `outer`; the inner axis is centred on `cbar_inner`.
+    #[inline]
+    fn add_row<T: ndfield::Scalar, const OUTER: usize>(
+        &mut self,
+        row: &[T],
+        outer: [f64; OUTER],
+        cbar_inner: f64,
+    ) {
+        let outer_sq = outer.map(|u| u * u);
+        for (j, v) in row.iter().enumerate() {
+            let x = v.to_f64();
+            if !x.is_finite() {
+                continue;
+            }
+            self.n += 1.0;
+            self.sx += x;
+            for a in 0..OUTER {
+                self.su[a] += outer[a];
+                self.sxu[a] += x * outer[a];
+                self.suu[a] += outer_sq[a];
+            }
+            let u = j as f64 - cbar_inner;
+            self.su[OUTER] += u;
+            self.sxu[OUTER] += x * u;
+            self.suu[OUTER] += u * u;
+        }
+    }
+
+    /// Solve the decoupled normal equations of a `rank`-axis grid with
+    /// axis means `cbar` for the `f32`-quantized plane coefficients.
+    fn plane(&self, rank: usize, cbar: &[f64; 3]) -> [f64; 4] {
+        let PlaneSums {
+            n,
+            sx,
+            su,
+            sxu,
+            suu,
+        } = *self;
+        if n == 0.0 {
+            return [0.0; 4];
+        }
+        let xbar = sx / n;
+        let mut beta = [0.0f64; 4];
+        let mut ubar = [0.0f64; 3];
         for a in 0..rank {
-            let u = coords[a] as f64 - cbar[a];
-            su[a] += u;
-            sxu[a] += x * u;
-            suu[a] += u * u;
+            ubar[a] = su[a] / n;
+            let var = suu[a] - n * ubar[a] * ubar[a];
+            if var > 0.0 {
+                beta[a + 1] = (sxu[a] - sx * ubar[a]) / var;
+            }
         }
-    }
-    if n == 0.0 {
-        return [0.0; 4];
-    }
-    let xbar = sx / n;
-    let mut beta = [0.0f64; 4];
-    let mut ubar = [0.0f64; 3];
-    for a in 0..rank {
-        ubar[a] = su[a] / n;
-        let var = suu[a] - n * ubar[a] * ubar[a];
-        if var > 0.0 {
-            beta[a + 1] = (sxu[a] - sx * ubar[a]) / var;
+        // Quantize the slopes through f32 (the stored precision) and
+        // re-derive the intercept against the quantized slopes so the
+        // plane stays centred on the included points.
+        for b in beta.iter_mut().skip(1) {
+            *b = *b as f32 as f64;
         }
+        beta[0] = (xbar
+            - (0..rank)
+                .map(|a| beta[a + 1] * (ubar[a] + cbar[a]))
+                .sum::<f64>()) as f32 as f64;
+        if beta.iter().any(|b| !b.is_finite()) {
+            return [0.0; 4];
+        }
+        beta
     }
-    // Quantize the slopes through f32 (the stored precision) and re-derive
-    // the intercept against the quantized slopes so the plane stays
-    // centred on the included points.
-    for b in beta.iter_mut().skip(1) {
-        *b = *b as f32 as f64;
-    }
-    beta[0] = (xbar
-        - (0..rank)
-            .map(|a| beta[a + 1] * (ubar[a] + cbar[a]))
-            .sum::<f64>()) as f32 as f64;
-    if beta.iter().any(|b| !b.is_finite()) {
-        return [0.0; 4];
-    }
-    beta
 }
 
 /// Binomial coefficient `C(2, i)` for the two-layer stencil weights.
@@ -840,6 +899,116 @@ mod tests {
         assert!((c[0] - 1.0).abs() < 1e-6);
         let all_nan = vec![f64::NAN; 8];
         assert_eq!(fit_regression(&all_nan, shape), [0.0; 4]);
+    }
+
+    /// The odometer form of [`plane_sums`] it replaced: one pass over the
+    /// samples, coordinates advanced like an odometer, every axis's sums
+    /// updated per sample.
+    fn plane_sums_odometer<T: ndfield::Scalar>(
+        data: &[T],
+        shape: Shape,
+        cbar: &[f64; 3],
+    ) -> PlaneSums {
+        let dims = shape.dims();
+        let rank = dims.len();
+        let mut acc = PlaneSums::default();
+        let mut next = [0usize; 3];
+        for v in data {
+            let coords = next;
+            for a in (0..rank).rev() {
+                next[a] += 1;
+                if a == 0 || next[a] < dims[a] {
+                    break;
+                }
+                next[a] = 0;
+            }
+            let x = v.to_f64();
+            if !x.is_finite() {
+                continue;
+            }
+            acc.n += 1.0;
+            acc.sx += x;
+            for a in 0..rank {
+                let u = coords[a] as f64 - cbar[a];
+                acc.su[a] += u;
+                acc.sxu[a] += x * u;
+                acc.suu[a] += u * u;
+            }
+        }
+        acc
+    }
+
+    /// The bits of every running sum.
+    fn sum_bits(s: &PlaneSums) -> Vec<u64> {
+        [s.n, s.sx]
+            .iter()
+            .chain(&s.su)
+            .chain(&s.sxu)
+            .chain(&s.suu)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn row_fit_is_the_odometer_fit_bit_for_bit(
+            rank in 1usize..4,
+            d0 in 0usize..40,
+            d1 in 1usize..30,
+            d2 in 1usize..30,
+            seed in proptest::prelude::any::<u64>(),
+            non_finite in 0usize..3,
+        ) {
+            let shape = match rank {
+                1 => Shape::D1(d0 * d1 * d2),
+                2 => Shape::D2(d0, d1 * d2),
+                _ => Shape::D3(d0, d1, d2),
+            };
+            let mut s = seed | 1;
+            let scale = [1e-6, 1.0, 3e4][(seed % 3) as usize];
+            let data: Vec<f64> = (0..shape.len())
+                .map(|lin| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    // non_finite = 0: none; 1: about one in 37; 2: about half.
+                    let bad = match non_finite {
+                        0 => false,
+                        1 => s.is_multiple_of(37),
+                        _ => s.is_multiple_of(2),
+                    };
+                    if bad {
+                        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(s >> 8) as usize % 3]
+                    } else {
+                        (lin as f64 * 0.37).sin() * scale + (s >> 11) as f64 / (1u64 << 53) as f64
+                    }
+                })
+                .collect();
+            // The f32 rounding of the slopes hides most summation-order
+            // changes, so the sums themselves are compared too.
+            let dims = shape.dims();
+            let mut cbar = [0.0f64; 3];
+            for (a, &d) in dims.iter().enumerate() {
+                cbar[a] = (d as f64 - 1.0) / 2.0;
+            }
+            let bits = |c: [f64; 4]| c.map(f64::to_bits);
+            let narrow: Vec<f32> = data.iter().map(|&x| x as f32).collect();
+            let (rows, rows32) = (plane_sums(&data, shape, &cbar), plane_sums(&narrow, shape, &cbar));
+            let (odo, odo32) = (
+                plane_sums_odometer(&data, shape, &cbar),
+                plane_sums_odometer(&narrow, shape, &cbar),
+            );
+            proptest::prop_assert_eq!(sum_bits(&rows), sum_bits(&odo));
+            proptest::prop_assert_eq!(sum_bits(&rows32), sum_bits(&odo32));
+            proptest::prop_assert_eq!(
+                bits(fit_regression(&data, shape)),
+                bits(odo.plane(dims.len(), &cbar))
+            );
+            proptest::prop_assert_eq!(
+                bits(fit_regression(&narrow, shape)),
+                bits(odo32.plane(dims.len(), &cbar))
+            );
+        }
     }
 
     #[test]

@@ -180,15 +180,15 @@ pub struct Selection<T: Scalar> {
 /// `Auto` runs the *real* fused prediction–quantization walk
 /// (reconstruction feedback included, escapes coded exactly) once per
 /// candidate over the leading whole-row slab of at most 65 536
-/// samples, prices each candidate's code magnitudes with the
-/// entropy-of-quantized-magnitudes model below, and picks the cheapest.
-/// Walking for real instead of sampling residuals against the original
-/// data matters at coarse bounds: there the quantization noise a
-/// neighbour stencil feeds back is the *same* noise it just removed
-/// (piecewise-constant reconstructions predict themselves exactly), which
-/// an additive analytic penalty systematically overcharges — coarse-bound
-/// Lorenzo looked ~½ bit/value worse than it is and lost bake-offs it
-/// should have won.
+/// samples, prices each candidate's code magnitudes with an
+/// entropy-of-quantized-magnitudes model (exponent classes plus mantissa
+/// bits), and picks the cheapest. Walking for real instead of sampling
+/// residuals against the original data matters at coarse bounds: there
+/// the quantization noise a neighbour stencil feeds back is the *same*
+/// noise it just removed (piecewise-constant reconstructions predict
+/// themselves exactly), which an additive analytic penalty systematically
+/// overcharges — coarse-bound Lorenzo looked ~½ bit/value worse than it
+/// is and lost bake-offs it should have won.
 ///
 /// Challengers pay `LZ_SLACK_BITS` (0.5); Regression additionally pays its
 /// coefficient payload up front: `8·REGRESSION_COEFF_BYTES / n` extra
@@ -199,6 +199,11 @@ pub struct Selection<T: Scalar> {
 /// byte-reproducible across runs and thread counts. Only the best walk so
 /// far is kept: each candidate walks into a spare buffer set, and the two
 /// swap when it wins.
+///
+/// Lorenzo¹ walks the whole slab. Each challenger walks it in steps of
+/// about 4 096 samples and stops as soon as a lower bound on its final
+/// price proves it cannot price below the incumbent, so the result is the
+/// one a full walk of every candidate reaches (DESIGN §15.4).
 pub fn model<T: Scalar>(
     data: &[T],
     shape: Shape,
@@ -209,20 +214,69 @@ pub fn model<T: Scalar>(
     let _span = fpsnr_obs::span("sz.select.model");
     let forced = |model| Selection { model, walk: None };
     match kind {
-        PredictorKind::Lorenzo1 => return forced(PredictorModel::Lorenzo1),
-        PredictorKind::Lorenzo2 => return forced(PredictorModel::Lorenzo2),
-        PredictorKind::Spline => return forced(PredictorModel::Spline),
+        PredictorKind::Lorenzo1 => forced(PredictorModel::Lorenzo1),
+        PredictorKind::Lorenzo2 => forced(PredictorModel::Lorenzo2),
+        PredictorKind::Spline => forced(PredictorModel::Spline),
         PredictorKind::Regression => {
-            return forced(PredictorModel::Regression(fit_regression(data, shape)))
+            forced(PredictorModel::Regression(fit_regression(data, shape)))
         }
-        PredictorKind::Auto => {}
+        PredictorKind::Auto => {
+            let (sel, work) = bake_off(data, shape, eb, bins);
+            if work.walked > 0 {
+                fpsnr_obs::add("sz.select.walked_samples", work.walked);
+                fpsnr_obs::add("sz.select.pruned", work.pruned);
+            }
+            sel
+        }
     }
+}
+
+/// Samples a challenger walks between two lower-bound checks, rounded to
+/// whole outer slices (at least one). Each check costs O(66); a walk step
+/// of this size costs tens of microseconds.
+const CHECKPOINT: usize = 4096;
+
+/// Relative slack of the pruning test. Challenger prices and bounds are at
+/// least `LZ_SLACK_BITS` (0.5) and are sums of a few dozen rounded terms
+/// of magnitude ≤ 70, so each is within ~1e-12 of its exact value, far
+/// inside `0.5 · 1e-9`.
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Exponent classes the price sorts codes into: zero, `k`-bit magnitudes
+/// for `k` in 1..=64, and escapes.
+const CLASSES: usize = 66;
+const ESCAPE_CLASS: usize = CLASSES - 1;
+
+/// What one `Auto` bake-off walked.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct BakeoffWork {
+    /// Slab samples walked, summed over the candidates.
+    walked: u64,
+    /// Challengers stopped before the end of the slab.
+    pruned: u64,
+}
+
+/// The `Auto` bake-off behind [`model`], with what it walked.
+fn bake_off<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    eb: f64,
+    bins: usize,
+) -> (Selection<T>, BakeoffWork) {
+    let mut best = Selection {
+        model: PredictorModel::Lorenzo1,
+        walk: None,
+    };
+    let mut work = BakeoffWork::default();
     let n = data.len();
     if n == 0 || eb <= 0.0 {
-        return forced(PredictorModel::Lorenzo1);
+        return (best, work);
     }
     let (slab_shape, slab_len) = score_slab(shape, SCORE_CAP);
-    let slab = &data[..slab_len.min(n)];
+    let slab = &data[..slab_len];
+    // Samples per outer slice: walk steps end on whole slices.
+    let slice = slab_len / slab_shape.dims()[0];
+    let step = (CHECKPOINT / slice).max(1) * slice;
     let regression = PredictorModel::Regression(fit_regression(data, shape));
     let candidates: [(PredictorModel, f64); 4] = [
         (PredictorModel::Lorenzo1, 0.0),
@@ -234,83 +288,178 @@ pub fn model<T: Scalar>(
         (PredictorModel::Spline, LZ_SLACK_BITS),
     ];
     let sample_bits = (T::BYTES * 8) as f64;
-    let mut best = forced(PredictorModel::Lorenzo1);
     let mut best_cost = f64::INFINITY;
     let mut spare = WalkState::default();
     for (model, extra_bits) in candidates {
         spare.codes.clear();
         spare.unpred.clear();
-        spare = walk_fused_resume(
-            slab,
-            slab_shape,
-            eb,
-            bins,
-            model,
-            EscapeCoding::Exact,
-            spare,
-        );
-        let cost = candidate_bits_per_value(&spare.codes, bins, sample_bits, extra_bits);
+        spare.recon.clear();
+        spare.codes.reserve_exact(slab_len);
+        spare.recon.reserve_exact(slab_len);
+        let mut counts = ClassCounts::default();
+        // Lorenzo¹ has no incumbent to lose to: one walk over the slab.
+        let step = if best_cost.is_finite() {
+            step
+        } else {
+            slab_len
+        };
+        let mut walked = 0;
+        while walked < slab_len {
+            let end = (walked + step).min(slab_len);
+            spare = walk_fused_resume(
+                &slab[..end],
+                with_outer(slab_shape, end / slice),
+                eb,
+                bins,
+                model,
+                EscapeCoding::Exact,
+                spare,
+            );
+            counts.add(&spare.codes[walked..end], bins);
+            walked = end;
+            if walked < slab_len && counts.cannot_beat(best_cost, slab_len, sample_bits, extra_bits)
+            {
+                work.pruned += 1;
+                break;
+            }
+        }
+        work.walked += walked as u64;
+        if walked < slab_len {
+            continue;
+        }
+        let cost = counts.price(sample_bits, extra_bits);
         if cost < best_cost {
             best_cost = cost;
             best.model = model;
             spare = best.walk.replace(spare).unwrap_or_default();
         }
     }
-    best
+    (best, work)
 }
 
-/// Estimate coded bits/value for one bake-off candidate from its walk's
-/// quantization `codes` over a grid of `bins` bins (`0` = escape).
-///
-/// Magnitudes are priced like an exponent/mantissa code (the JPEG-DC /
-/// Elias-γ shape a canonical Huffman code converges to on long-tailed
-/// alphabets): Shannon entropy over the exponent classes — zero,
-/// `[2^(k−1), 2^k)` for each `k`, escapes as one more class — plus `k−1`
-/// mantissa bits and one sign bit per nonzero in-range magnitude, plus
-/// `sample_bits` per escape, plus `extra_bits` of per-value side-channel
-/// overhead (regression spends `8·REGRESSION_COEFF_BYTES / n` here).
-/// Pricing the within-class spread explicitly matters for wide residual
-/// distributions: flat buckets made a predictor whose magnitudes span
-/// thousands of bins look several bits/value cheaper than its real
-/// Huffman stream.
-fn candidate_bits_per_value(codes: &[u32], bins: usize, sample_bits: f64, extra_bits: f64) -> f64 {
-    if codes.is_empty() {
-        return extra_bits;
+/// `shape` with its outer extent set to `rows`.
+fn with_outer(shape: Shape, rows: usize) -> Shape {
+    match shape {
+        Shape::D1(_) => Shape::D1(rows),
+        Shape::D2(_, c) => Shape::D2(rows, c),
+        Shape::D3(_, b, c) => Shape::D3(rows, b, c),
     }
-    let radius = (bins as u64 / 2).saturating_sub(1).max(1);
-    let code_radius = (bins / 2) as i64;
-    // Class 0 holds zeros; class k (1..=64) holds magnitudes with k bits.
-    let mut hist = [0u64; 65];
-    let mut escapes = 0u64;
-    let mut nonzero_live = 0u64;
-    let mut mantissa_bits = 0u64;
-    for &code in codes {
-        let q = if code == 0 {
-            u64::MAX
-        } else {
-            (code as i64 - code_radius).unsigned_abs()
+}
+
+/// A bake-off candidate's quantization codes, sorted into the exponent
+/// classes its price is made of.
+struct ClassCounts {
+    /// Codes per class: zero, `k`-bit magnitudes, escapes
+    /// (`ESCAPE_CLASS`).
+    hist: [u64; CLASSES],
+    /// Mantissa plus sign bits: `k` per nonzero in-range `k`-bit
+    /// magnitude.
+    live_bits: u64,
+}
+
+impl Default for ClassCounts {
+    fn default() -> Self {
+        ClassCounts {
+            hist: [0; CLASSES],
+            live_bits: 0,
+        }
+    }
+}
+
+impl ClassCounts {
+    /// Count `codes` from a grid of `bins` bins (`0` = escape).
+    fn add(&mut self, codes: &[u32], bins: usize) {
+        let radius = (bins as u64 / 2).saturating_sub(1).max(1);
+        let code_radius = (bins / 2) as i64;
+        for &code in codes {
+            let q = if code == 0 {
+                u64::MAX
+            } else {
+                (code as i64 - code_radius).unsigned_abs()
+            };
+            let class = if q > radius {
+                ESCAPE_CLASS
+            } else {
+                64 - q.leading_zeros() as usize
+            };
+            self.hist[class] += 1;
+            if class != ESCAPE_CLASS {
+                self.live_bits += class as u64;
+            }
+        }
+    }
+
+    /// Estimated coded bits/value of the counted codes.
+    ///
+    /// Magnitudes are priced like an exponent/mantissa code (the JPEG-DC /
+    /// Elias-γ shape a canonical Huffman code converges to on long-tailed
+    /// alphabets): Shannon entropy over the exponent classes — zero,
+    /// `[2^(k−1), 2^k)` for each `k`, escapes as one more class — plus
+    /// `k−1` mantissa bits and one sign bit per nonzero in-range
+    /// magnitude, plus `sample_bits` per escape, plus `extra_bits` of
+    /// per-value side-channel overhead (regression spends
+    /// `8·REGRESSION_COEFF_BYTES / n` here). Pricing the within-class
+    /// spread explicitly matters for wide residual distributions: flat
+    /// buckets made a predictor whose magnitudes span thousands of bins
+    /// look several bits/value cheaper than its real Huffman stream.
+    fn price(&self, sample_bits: f64, extra_bits: f64) -> f64 {
+        let total: u64 = self.hist.iter().sum();
+        if total == 0 {
+            return extra_bits;
+        }
+        let n = total as f64;
+        let mut h = 0.0;
+        for &c in &self.hist {
+            if c > 0 {
+                let p = c as f64 / n;
+                h -= p * p.log2();
+            }
+        }
+        let esc_frac = self.hist[ESCAPE_CLASS] as f64 / n;
+        h + self.live_bits as f64 / n + esc_frac * sample_bits + extra_bits
+    }
+
+    /// Whether no completion of the counted codes to `len` codes can
+    /// price below `best_cost`: [`lower_bound`](Self::lower_bound) exceeds
+    /// it by more than the float slack `PRUNE_MARGIN`.
+    fn cannot_beat(&self, best_cost: f64, len: usize, sample_bits: f64, extra_bits: f64) -> bool {
+        self.lower_bound(len, sample_bits, extra_bits) > best_cost * (1.0 + PRUNE_MARGIN)
+    }
+
+    /// A lower bound on [`price`](Self::price) once the counted codes
+    /// are completed to `len` codes in any way.
+    ///
+    /// With `f(x) = x·log2 x`, the price of final counts `h'` is
+    /// `log2 len − Σ f(h'ᵢ)/len + (live' + sample_bits·esc')/len + extra`:
+    /// concave in the `r = len − m` codes still to come, since `f` is
+    /// convex and the rest is linear. Its minimum over every completion
+    /// is therefore at a vertex, all `r` codes in one class `c`, which
+    /// costs O(66) to search.
+    fn lower_bound(&self, len: usize, sample_bits: f64, extra_bits: f64) -> f64 {
+        let f = |x: u64| {
+            let x = x as f64;
+            if x > 0.0 {
+                x * x.log2()
+            } else {
+                0.0
+            }
         };
-        if q > radius {
-            escapes += 1;
-        } else if q == 0 {
-            hist[0] += 1;
-        } else {
-            let k = 64 - q.leading_zeros() as usize;
-            hist[k] += 1;
-            mantissa_bits += (k - 1) as u64;
-            nonzero_live += 1;
+        let m: u64 = self.hist.iter().sum();
+        let r = len as u64 - m;
+        let n = len as f64;
+        let s: f64 = self.hist.iter().map(|&c| f(c)).sum();
+        let linear = self.live_bits as f64 + sample_bits * self.hist[ESCAPE_CLASS] as f64;
+        let mut least = f64::INFINITY;
+        for (class, &c) in self.hist.iter().enumerate() {
+            let per_code = match class {
+                ESCAPE_CLASS => sample_bits,
+                k => k as f64,
+            };
+            let entropy = n.log2() - (s - f(c) + f(c + r)) / n;
+            least = least.min(entropy + (linear + r as f64 * per_code) / n);
         }
+        least + extra_bits
     }
-    let n = codes.len() as f64;
-    let mut h = 0.0;
-    for &c in hist.iter().chain(std::iter::once(&escapes)) {
-        if c > 0 {
-            let p = c as f64 / n;
-            h -= p * p.log2();
-        }
-    }
-    let esc_frac = escapes as f64 / n;
-    h + (mantissa_bits + nonzero_live) as f64 / n + esc_frac * sample_bits + extra_bits
 }
 
 #[cfg(test)]
@@ -398,6 +547,335 @@ mod tests {
         })
     }
 
+    /// The code-scanning price [`ClassCounts::price`] replaced.
+    fn candidate_bits_per_value(
+        codes: &[u32],
+        bins: usize,
+        sample_bits: f64,
+        extra_bits: f64,
+    ) -> f64 {
+        if codes.is_empty() {
+            return extra_bits;
+        }
+        let radius = (bins as u64 / 2).saturating_sub(1).max(1);
+        let code_radius = (bins / 2) as i64;
+        let mut hist = [0u64; 65];
+        let mut escapes = 0u64;
+        let mut nonzero_live = 0u64;
+        let mut mantissa_bits = 0u64;
+        for &code in codes {
+            let q = if code == 0 {
+                u64::MAX
+            } else {
+                (code as i64 - code_radius).unsigned_abs()
+            };
+            if q > radius {
+                escapes += 1;
+            } else if q == 0 {
+                hist[0] += 1;
+            } else {
+                let k = 64 - q.leading_zeros() as usize;
+                hist[k] += 1;
+                mantissa_bits += (k - 1) as u64;
+                nonzero_live += 1;
+            }
+        }
+        let n = codes.len() as f64;
+        let mut h = 0.0;
+        for &c in hist.iter().chain(std::iter::once(&escapes)) {
+            if c > 0 {
+                let p = c as f64 / n;
+                h -= p * p.log2();
+            }
+        }
+        let esc_frac = escapes as f64 / n;
+        h + (mantissa_bits + nonzero_live) as f64 / n + esc_frac * sample_bits + extra_bits
+    }
+
+    /// The `Auto` bake-off before pruning: every candidate walks the whole
+    /// slab and is priced by scanning its codes.
+    fn model_oracle<T: Scalar>(data: &[T], shape: Shape, eb: f64, bins: usize) -> Selection<T> {
+        let n = data.len();
+        let mut best = Selection {
+            model: PredictorModel::Lorenzo1,
+            walk: None,
+        };
+        if n == 0 || eb <= 0.0 {
+            return best;
+        }
+        let (slab_shape, slab_len) = score_slab(shape, SCORE_CAP);
+        let slab = &data[..slab_len.min(n)];
+        let regression = PredictorModel::Regression(fit_regression(data, shape));
+        let candidates: [(PredictorModel, f64); 4] = [
+            (PredictorModel::Lorenzo1, 0.0),
+            (PredictorModel::Lorenzo2, LZ_SLACK_BITS),
+            (
+                regression,
+                LZ_SLACK_BITS + (REGRESSION_COEFF_BYTES * 8) as f64 / n as f64,
+            ),
+            (PredictorModel::Spline, LZ_SLACK_BITS),
+        ];
+        let sample_bits = (T::BYTES * 8) as f64;
+        let mut best_cost = f64::INFINITY;
+        for (model, extra_bits) in candidates {
+            let st = walk_fused_resume(
+                slab,
+                slab_shape,
+                eb,
+                bins,
+                model,
+                EscapeCoding::Exact,
+                WalkState::default(),
+            );
+            let cost = candidate_bits_per_value(&st.codes, bins, sample_bits, extra_bits);
+            if cost < best_cost {
+                best_cost = cost;
+                best = Selection {
+                    model,
+                    walk: Some(st),
+                };
+            }
+        }
+        best
+    }
+
+    /// Xorshift step.
+    fn next(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    /// A shape of `rank` in one of four size classes: shorter than one
+    /// checkpoint, up to a slab, larger than a slab, and one or two outer
+    /// slices, each at least one checkpoint long (every step one slice).
+    fn shape_in_class(rank: usize, class: usize, s: &mut u64) -> Shape {
+        let mut pick = |lo: usize, hi: usize| lo + next(s) as usize % (hi - lo);
+        match (rank, class) {
+            (1, 0) => Shape::D1(pick(1, CHECKPOINT)),
+            (1, 1) => Shape::D1(pick(CHECKPOINT, SCORE_CAP)),
+            (1, _) => Shape::D1(pick(SCORE_CAP + 1, SCORE_CAP + 9_000)),
+            (2, 0) => Shape::D2(pick(1, 40), pick(1, 100)),
+            (2, 1) => Shape::D2(pick(20, 200), pick(30, 320)),
+            (2, 2) => Shape::D2(pick(240, 300), pick(250, 300)),
+            (2, _) => Shape::D2(pick(1, 3), pick(CHECKPOINT, SCORE_CAP + 4_000)),
+            (_, 0) => Shape::D3(pick(1, 8), pick(1, 20), pick(1, 25)),
+            (_, 1) => Shape::D3(pick(4, 40), pick(8, 40), pick(8, 40)),
+            (_, 2) => Shape::D3(pick(60, 80), pick(30, 36), pick(30, 36)),
+            (_, _) => Shape::D3(pick(1, 3), pick(60, 80), pick(60, 300)),
+        }
+    }
+
+    /// A smooth carrier (a ramp, a slow sine, or a quadratic in scan
+    /// order) plus xorshift noise at a seed-chosen scale, with non-finite
+    /// samples at a seed-chosen rate (none, ~1 in 300, ~1 in 8).
+    fn carrier(n: usize, seed: u64) -> Vec<f64> {
+        let mut s = seed | 1;
+        let noise = [0.0, 1e-5, 1e-2, 0.3][(seed % 4) as usize];
+        let bad = [0, 300, 8][(seed / 4 % 3) as usize];
+        let shape = (seed / 12) % 3;
+        (0..n)
+            .map(|lin| {
+                let r = next(&mut s);
+                if bad > 0 && r.is_multiple_of(bad) {
+                    return [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(r >> 9) as usize % 3];
+                }
+                let t = lin as f64 / n as f64;
+                let smooth = match shape {
+                    0 => 3.0 * t - 1.0,
+                    1 => (t * 40.0).sin(),
+                    _ => 5.0 * t * t - t,
+                };
+                smooth + noise * ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
+            })
+            .collect()
+    }
+
+    /// Run the pruned and the oracle bake-off and compare everything the
+    /// compressors read.
+    fn pruned_equals_oracle<T: Scalar>(
+        data: &[T],
+        shape: Shape,
+        eb: f64,
+        bins: usize,
+    ) -> Result<(), String> {
+        let got = model(data, shape, PredictorKind::Auto, eb, bins);
+        let want = model_oracle(data, shape, eb, bins);
+        let label = format!("{shape:?} eb {eb:e} bins {bins}");
+        if got.model != want.model {
+            return Err(format!("{label}: {:?} vs {:?}", got.model, want.model));
+        }
+        let (Some(g), Some(w)) = (got.walk, want.walk) else {
+            return Err(format!("{label}: missing walk"));
+        };
+        let raw = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        if g.codes != w.codes
+            || raw(&g.unpred) != raw(&w.unpred)
+            || bits(&g.recon) != bits(&w.recon)
+        {
+            return Err(format!("{label}: walks differ"));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pruned_selection_matches_the_full_walk_oracle(
+            rank in 1usize..4,
+            class in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+            eb_exp in 1.0f64..7.0,
+            bins_log in 5u32..17,
+            wide in proptest::bool::ANY,
+        ) {
+            let mut s = seed | 1;
+            let shape = shape_in_class(rank, class, &mut s);
+            let data = carrier(shape.len(), seed);
+            let (lo, hi) = data
+                .iter()
+                .filter(|x| x.is_finite())
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+            let range = if hi > lo { hi - lo } else { 1.0 };
+            let eb = range * 10f64.powf(-eb_exp);
+            let bins = 1usize << bins_log;
+            let res = if wide {
+                pruned_equals_oracle(&data, shape, eb, bins)
+            } else {
+                let narrow: Vec<f32> = data.iter().map(|&x| x as f32).collect();
+                pruned_equals_oracle(&narrow, shape, eb, bins)
+            };
+            proptest::prop_assert!(res.is_ok(), "{}", res.unwrap_err());
+        }
+
+        #[test]
+        fn class_count_price_is_the_code_scan_price(
+            len in 0usize..5_000,
+            bins_log in 1u32..17,
+            seed in proptest::prelude::any::<u64>(),
+            cut in 0usize..5_000,
+            wide in proptest::bool::ANY,
+        ) {
+            let mut s = seed | 1;
+            let codes = random_codes(len, 1 << bins_log, &mut s);
+            let bins = 1usize << bins_log;
+            let sample_bits = if wide { 64.0 } else { 32.0 };
+            let extra = [0.0, LZ_SLACK_BITS, LZ_SLACK_BITS + 128.0 / (len + 1) as f64][(seed % 3) as usize];
+            let mut counts = ClassCounts::default();
+            let cut = cut.min(len);
+            counts.add(&codes[..cut], bins);
+            counts.add(&codes[cut..], bins);
+            proptest::prop_assert_eq!(
+                counts.price(sample_bits, extra).to_bits(),
+                candidate_bits_per_value(&codes, bins, sample_bits, extra).to_bits()
+            );
+        }
+
+        #[test]
+        fn lower_bound_never_exceeds_a_completed_price(
+            len in 1usize..5_000,
+            walked in 0usize..5_000,
+            bins_log in 1u32..17,
+            seed in proptest::prelude::any::<u64>(),
+            completion in 0usize..3,
+            wide in proptest::bool::ANY,
+        ) {
+            let mut s = seed | 1;
+            let bins = 1usize << bins_log;
+            let walked = walked.min(len);
+            let mut codes = random_codes(len, bins, &mut s);
+            // Random tails, one-class tails (the vertex the bound is
+            // tight at) and two-class tails.
+            match completion {
+                0 => {}
+                1 => {
+                    let last = codes[len - 1];
+                    codes[walked..].fill(last);
+                }
+                _ => {
+                    let (a, b) = (codes[len - 1], codes[0]);
+                    for (i, c) in codes[walked..].iter_mut().enumerate() {
+                        *c = if i % 3 == 0 { a } else { b };
+                    }
+                }
+            }
+            let sample_bits = if wide { 64.0 } else { 32.0 };
+            let extra = LZ_SLACK_BITS + [0.0, 128.0 / len as f64][(seed % 2) as usize];
+            let mut prefix = ClassCounts::default();
+            prefix.add(&codes[..walked], bins);
+            let mut counts = ClassCounts::default();
+            counts.add(&codes, bins);
+            let price = counts.price(sample_bits, extra);
+            // An incumbent this completion beats, however narrowly, is
+            // never ruled out.
+            proptest::prop_assert!(
+                !prefix.cannot_beat(price.next_up(), len, sample_bits, extra),
+                "bound {} rules out {price} ({walked}/{len})",
+                prefix.lower_bound(len, sample_bits, extra)
+            );
+            if walked == len {
+                let bound = prefix.lower_bound(len, sample_bits, extra);
+                proptest::prop_assert!(bound >= price * (1.0 - PRUNE_MARGIN));
+            }
+        }
+    }
+
+    /// Codes over a grid of `bins` bins: mostly small magnitudes around
+    /// the centre, with escapes (code 0) and a long tail.
+    fn random_codes(len: usize, bins: usize, s: &mut u64) -> Vec<u32> {
+        let centre = (bins / 2) as i64;
+        let spread = 1 + next(s) % 12;
+        (0..len)
+            .map(|_| {
+                let r = next(s);
+                if r.is_multiple_of(53) {
+                    return 0;
+                }
+                let mag = (r >> 8) % (1u64 << ((r >> 40) % spread));
+                let q = if r & 1 == 0 {
+                    mag as i64
+                } else {
+                    -(mag as i64)
+                };
+                (centre + q).clamp(0, bins as i64 - 1) as u32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn challengers_stop_on_a_plane_and_counters_say_so() {
+        // A 200 × 300 plane: Lorenzo¹ codes it nearly all zeros, and each
+        // challenger's 0.5-bit handicap exceeds that price at its first
+        // checkpoint (13 rows, 3 900 samples).
+        let shape = Shape::D2(200, 300);
+        let data: Vec<f32> = (0..shape.len())
+            .map(|lin| 0.25 * (lin / 300) as f32 - 0.125 * (lin % 300) as f32)
+            .collect();
+        let (sel, work) = bake_off(&data, shape, 1e-3, 1024);
+        assert_eq!(sel.model, PredictorModel::Lorenzo1);
+        let step = (CHECKPOINT / 300) * 300;
+        assert_eq!(
+            work,
+            BakeoffWork {
+                walked: (shape.len() + 3 * step) as u64,
+                pruned: 3,
+            }
+        );
+        fpsnr_obs::reset();
+        fpsnr_obs::enable();
+        let armed = fpsnr_obs::is_enabled(); // false when built with fpsnr-obs/off
+        let sel = model(&data, shape, PredictorKind::Auto, 1e-3, 1024);
+        fpsnr_obs::disable();
+        assert_eq!(sel.model, PredictorModel::Lorenzo1);
+        if armed {
+            // Other tests may select while the registry is armed, so the
+            // counters are lower bounds here.
+            let report = fpsnr_obs::snapshot();
+            assert!(report.counter("sz.select.pruned").unwrap_or(0) >= work.pruned);
+            assert!(report.counter("sz.select.walked_samples").unwrap_or(0) >= work.walked);
+        }
+    }
+
     #[test]
     fn counting_intervals_match_the_sorting_oracle() {
         let mut cases = vec![
@@ -450,15 +928,6 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The leading `rows` outer slices of `shape`.
-    fn leading(shape: Shape, rows: usize) -> Shape {
-        match shape {
-            Shape::D1(_) => Shape::D1(rows),
-            Shape::D2(_, c) => Shape::D2(rows, c),
-            Shape::D3(_, b, c) => Shape::D3(rows, b, c),
-        }
-    }
-
     #[test]
     fn slab_walk_then_resume_equals_one_full_walk() {
         let models = [
@@ -503,7 +972,7 @@ mod tests {
                             let mut prefix = WalkState::default();
                             let part = walk_fused(
                                 &data[..slab_len],
-                                leading(shape, slab_rows),
+                                with_outer(shape, slab_rows),
                                 eb,
                                 512,
                                 model,
