@@ -13,7 +13,7 @@
 use datagen::atm;
 use fpsnr_bench::{resolution_from_env, seed_from_env};
 use fpsnr_metrics::Histogram;
-use szlike::{prediction_errors, ErrorBound, SzConfig};
+use szlike::{quantization_probe, ErrorBound, SzConfig};
 
 fn main() {
     let res = resolution_from_env();
@@ -24,7 +24,7 @@ fn main() {
     // bound typical of medium quality.
     let ebrel = 1e-3;
     let cfg = SzConfig::new(ErrorBound::ValueRangeRel(ebrel));
-    let (errors, eb_abs) = prediction_errors(&nf.data, &cfg).expect("probe");
+    let (errors, _, eb_abs) = quantization_probe(&nf.data, &cfg).expect("probe");
     let delta = 2.0 * eb_abs;
 
     // Window the histogram on ±8 quantization bins around zero, like the

@@ -16,7 +16,8 @@
 //! corpus: best-of compress / decompress wall time per dispatch level, the
 //! SIMD-over-forced-scalar speedups, and whether every level produced the
 //! same container bytes and decoded bits. Exits nonzero if any level
-//! differs. Fused-vs-reference kernel identity is a test
+//! differs. The fused walk's bit identity with the walk oracle
+//! (`szlike::kernels::walk_reference`) is a test
 //! (`szlike/tests/kernel_equivalence.rs`), and the walk and reconstruct
 //! layer throughputs are the benchmark's `kernels.*` metrics.
 

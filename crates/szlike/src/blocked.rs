@@ -33,14 +33,15 @@
 //! decoding with any thread count produces identical samples.
 
 use crate::compressor::{
-    apply_lossless, production_walk, read_eb_bins, read_escape_values, replay_quantized_walk, take,
-    undo_lossless_bounded, write_escapes, BlockDamage, CompressionDetail, DamageReport,
-    DecodeLimits, WalkOutput,
+    apply_lossless, production_walk, read_eb_bins, read_escape_values, replay_walk, resolve_bins,
+    take, undo_lossless_bounded, write_escapes, BlockDamage, CompressionDetail, DamageReport,
+    DecodeLimits,
 };
 use crate::config::{EntropyCoder, SzConfig};
 use crate::error::{DecodeError, SzError};
 use crate::format::{self, Header, Mode};
 use crate::grid::ChunkGrid;
+use crate::kernels::WalkResult;
 use crate::predictor::{Predictor, PredictorKind, PredictorModel, REGRESSION_COEFF_BYTES};
 use crate::select;
 use losslesskit::crc32::crc32;
@@ -210,7 +211,7 @@ fn run_walks<T: Scalar>(
     bins: usize,
     cfg: &SzConfig,
     threads: usize,
-) -> Vec<(PredictorModel, WalkOutput<T>)> {
+) -> Vec<(PredictorModel, WalkResult<T>)> {
     let data = field.as_slice();
     let arena: Mutex<Vec<(Vec<f64>, Vec<T>)>> = Mutex::new(Vec::new());
     let blocks: Vec<usize> = (0..grid.n_blocks()).collect();
@@ -229,7 +230,7 @@ fn run_walks<T: Scalar>(
         };
         let sel = select::model(samples, bshape, cfg.predictor, eb, bins);
         let model = sel.model;
-        let out = production_walk(samples, bshape, eb, bins, sel, cfg, &mut recon);
+        let out = production_walk(samples, bshape, eb, bins, sel, cfg.escape, &mut recon);
         arena
             .lock()
             .expect("walk arena lock")
@@ -253,11 +254,7 @@ pub(crate) fn compress_blocked<T: Scalar>(
     // Auto / Regression / Spline route to the v5 mixed-predictor layout
     // where each block carries the model it actually replayed.
     let predict_span = fpsnr_obs::span("sz.predict");
-    let bins = if cfg.auto_intervals {
-        select::intervals(field, eb_abs, cfg.quant_bins)
-    } else {
-        cfg.quant_bins
-    };
+    let bins = resolve_bins(field, eb_abs, cfg);
     drop(predict_span);
     let per_block = !matches!(
         cfg.predictor,
@@ -473,7 +470,7 @@ pub(crate) fn decode_block_body<T: Scalar>(
     }
     let unpred_values: Vec<T> =
         read_escape_values(body, &mut bpos, n_unpred, params.escape_tag, params.eb)?;
-    replay_quantized_walk(
+    replay_walk(
         stream,
         codec,
         params.stage,

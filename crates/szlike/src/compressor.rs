@@ -13,12 +13,11 @@
 //! bounds through a log transform (the SZ 2.x scheme) — included because
 //! §II-B of the paper surveys exactly these error-control strategies.
 
-use crate::config::{EntropyCoder, ErrorBound, EscapeCoding, KernelMode, LosslessBackend, SzConfig};
+use crate::config::{EntropyCoder, ErrorBound, EscapeCoding, LosslessBackend, SzConfig};
 use crate::error::{DecodeError, SzError};
 use crate::format::{self, Header, Mode};
-use crate::kernels;
+use crate::kernels::{self, WalkResult};
 use crate::predictor::{Predictor, PredictorModel, REGRESSION_COEFF_BYTES};
-use crate::quantizer::{LinearQuantizer, ESCAPE};
 use crate::select;
 use crate::unpredictable;
 use losslesskit::bitio::{BitReader, BitWriter};
@@ -67,121 +66,10 @@ impl CompressionDetail {
     }
 }
 
-/// Output of the prediction + quantization walk.
-pub(crate) struct WalkOutput<T: Scalar> {
-    pub(crate) codes: Vec<u32>,
-    pub(crate) unpred: Vec<T>,
-    pub(crate) pred_errors: Option<Vec<f64>>,
-}
-
-/// The single shared walk: identical logic drives compression, the Fig. 1
-/// prediction-error probe, and (mirrored) decompression.
-#[allow(clippy::too_many_arguments)]
-fn quantized_walk<T: Scalar>(
-    field: &Field<T>,
-    eb: f64,
-    bins: usize,
-    model: PredictorModel,
-    escape: EscapeCoding,
-    collect_errors: bool,
-    kernel: KernelMode,
-) -> WalkOutput<T> {
-    let mut recon = Vec::new();
-    quantized_walk_on(
-        field.as_slice(),
-        field.shape(),
-        eb,
-        bins,
-        model,
-        escape,
-        collect_errors,
-        &mut recon,
-        kernel,
-    )
-}
-
-/// Slice-level walk with caller-owned reconstruction scratch: the blocked
-/// path runs one walk per block on `par_map` workers, and reusing `recon`
-/// across the blocks a worker claims avoids the largest per-block
-/// allocation.
-///
-/// `kernel` selects the implementation; both produce identical output (the
-/// fused kernels replicate this loop's float-op order exactly, and the
-/// differential suite in `tests/kernel_equivalence.rs` holds them to it).
-/// Error collection forces the reference walk — only it materializes the
-/// raw prediction errors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quantized_walk_on<T: Scalar>(
-    data: &[T],
-    shape: Shape,
-    eb: f64,
-    bins: usize,
-    model: PredictorModel,
-    escape: EscapeCoding,
-    collect_errors: bool,
-    recon: &mut Vec<f64>,
-    kernel: KernelMode,
-) -> WalkOutput<T> {
-    if kernel == KernelMode::Fused && !collect_errors {
-        let out = crate::kernels::walk_fused(data, shape, eb, bins, model, escape, recon);
-        return WalkOutput {
-            codes: out.codes,
-            unpred: out.unpred,
-            pred_errors: None,
-        };
-    }
-    let n = data.len();
-    let quant = LinearQuantizer::new(eb, bins);
-    let mut codes = Vec::with_capacity(n);
-    let mut unpred = Vec::with_capacity(n / 64 + 4);
-    recon.clear();
-    recon.resize(n, 0.0);
-    let recon = &mut recon[..];
-    let mut pred_errors = collect_errors.then(|| Vec::with_capacity(n));
-    for lin in 0..n {
-        let x = data[lin].to_f64();
-        let pred = model.predict(recon, shape, lin);
-        let err = x - pred;
-        if let Some(errs) = pred_errors.as_mut() {
-            errs.push(err);
-        }
-        let mut escaped = true;
-        if let Some((code, rerr)) = quant.quantize(err) {
-            // Round through the target precision: the decompressor emits T,
-            // so the bound must hold after that cast, and the prediction
-            // walk must see the exact emitted value.
-            let xr = T::from_f64(pred + rerr);
-            if (x - xr.to_f64()).abs() <= eb {
-                codes.push(code);
-                recon[lin] = xr.to_f64();
-                escaped = false;
-            }
-        }
-        if escaped {
-            codes.push(ESCAPE);
-            unpred.push(data[lin]);
-            // The walk must see the value the decoder will reconstruct:
-            // the exact bits, or the bound-respecting truncation.
-            recon[lin] = match escape {
-                EscapeCoding::Exact => x,
-                EscapeCoding::Truncated => unpredictable::truncate_to_bound(data[lin], eb)
-                    .unwrap_or(data[lin])
-                    .to_f64(),
-            };
-        }
-    }
-    WalkOutput {
-        codes,
-        unpred,
-        pred_errors,
-    }
-}
-
 /// The production walk over a whole field or block: continues the `Auto`
-/// bake-off winner's slab walk when it is a prefix of this walk — the
-/// escape coding is the scorer's `Exact` and the kernel is `Fused` (the
-/// `Reference` oracle always walks independently) — and walks from the
-/// start otherwise. Either way the output is the same. `recon` receives the
+/// bake-off winner's slab walk when it is a prefix of this walk (the
+/// escape coding is the scorer's `Exact`) and walks from the start
+/// otherwise. Either way the output is the same. `recon` receives the
 /// reconstruction.
 pub(crate) fn production_walk<T: Scalar>(
     data: &[T],
@@ -189,23 +77,31 @@ pub(crate) fn production_walk<T: Scalar>(
     eb: f64,
     bins: usize,
     sel: select::Selection<T>,
-    cfg: &SzConfig,
+    escape: EscapeCoding,
     recon: &mut Vec<f64>,
-) -> WalkOutput<T> {
+) -> WalkResult<T> {
     match sel.walk {
-        Some(slab) if cfg.escape == EscapeCoding::Exact && cfg.kernel == KernelMode::Fused => {
+        Some(slab) if escape == EscapeCoding::Exact => {
             fpsnr_obs::add("sz.select.resumed_samples", slab.codes.len() as u64);
-            let st = kernels::walk_fused_resume(data, shape, eb, bins, sel.model, cfg.escape, slab);
+            let st = kernels::walk_fused_resume(data, shape, eb, bins, sel.model, escape, slab);
             *recon = st.recon;
-            WalkOutput {
+            WalkResult {
                 codes: st.codes,
                 unpred: st.unpred,
-                pred_errors: None,
             }
         }
-        _ => quantized_walk_on(
-            data, shape, eb, bins, sel.model, cfg.escape, false, recon, cfg.kernel,
-        ),
+        _ => kernels::walk_fused(data, shape, eb, bins, sel.model, escape, recon),
+    }
+}
+
+/// The bin count the quantized walk runs at: SZ 1.4's adaptive interval
+/// selection over the whole field when [`SzConfig::auto_intervals`] is on,
+/// the configured count otherwise.
+pub(crate) fn resolve_bins<T: Scalar>(field: &Field<T>, eb_abs: f64, cfg: &SzConfig) -> usize {
+    if cfg.auto_intervals {
+        select::intervals(field, eb_abs, cfg.quant_bins)
+    } else {
+        cfg.quant_bins
     }
 }
 
@@ -373,11 +269,7 @@ fn compress_quantized<T: Scalar>(
     // Stage 1 (sz.predict): per-field selection — adaptive interval
     // sizing, then the predictor (the `Auto` bake-off walks a leading slab).
     let predict_span = fpsnr_obs::span("sz.predict");
-    let bins = if cfg.auto_intervals {
-        select::intervals(field, eb_abs, cfg.quant_bins)
-    } else {
-        cfg.quant_bins
-    };
+    let bins = resolve_bins(field, eb_abs, cfg);
     let sel = select::model(field.as_slice(), field.shape(), cfg.predictor, eb_abs, bins);
     let model = sel.model;
     drop(predict_span);
@@ -393,7 +285,7 @@ fn compress_quantized<T: Scalar>(
         eb_abs,
         bins,
         sel,
-        cfg,
+        cfg.escape,
         &mut recon,
     );
     drop(recon);
@@ -895,7 +787,7 @@ fn decompress_quantized<T: Scalar>(
     // Fused mirror of the compression walk (Theorem 1): decode the code
     // stream in outer-slice chunks and reconstruct each chunk immediately.
     let _mirror = fpsnr_obs::span("sz.kernel.decode");
-    let samples = replay_quantized_walk(
+    let samples = replay_walk(
         stream,
         codec.as_ref(),
         stage,
@@ -983,7 +875,7 @@ pub(crate) fn read_escape_values<T: Scalar>(
 /// The single walk-replay routine shared by the monolithic body, every
 /// blocked-container block, and the random-access store.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_quantized_walk<T: Scalar>(
+pub(crate) fn replay_walk<T: Scalar>(
     stream: &[u8],
     codec: Option<&HuffmanCodec>,
     stage: u8,
@@ -1099,56 +991,21 @@ fn decompress_log_rel<T: Scalar>(
     Ok(Field::from_vec(header.shape, out))
 }
 
-/// Probe the prediction-error distribution (paper Fig. 1): runs the exact
-/// compression walk and returns the per-sample prediction errors together
-/// with the absolute bound the walk used.
-///
-/// # Errors
-/// Same failure modes as [`compress`].
-pub fn prediction_errors<T: Scalar>(
-    field: &Field<T>,
-    cfg: &SzConfig,
-) -> Result<(Vec<f64>, f64), SzError> {
-    cfg.validate()?;
-    let vr = field.value_range();
-    let eb_abs = cfg.bound.absolute(vr)?;
-    if eb_abs <= 0.0 {
-        return Err(SzError::BadBound(
-            "prediction-error probe needs a positive bound".to_string(),
-        ));
-    }
-    let model = select::model(
-        field.as_slice(),
-        field.shape(),
-        cfg.predictor,
-        eb_abs,
-        cfg.quant_bins,
-    )
-    .model;
-    let walk = quantized_walk(
-        field,
-        eb_abs,
-        cfg.quant_bins,
-        model,
-        cfg.escape,
-        true,
-        cfg.kernel,
-    );
-    Ok((
-        walk.pred_errors.expect("collect_errors was set"),
-        eb_abs,
-    ))
-}
-
-/// Theorem-1 probe: runs the compression walk and returns, per sample, the
-/// prediction error `Xpe` and its reconstruction `X̃pe` (the quantizer's
-/// midpoint, or the exact value on the escape path). Theorem 1 states
+/// Theorem-1 probe: runs the one-block compression walk — what
+/// [`compress`] runs at `threads = 1` with no `block_rows` or
+/// `chunk_dims`, at the same bin count and predictor — through the
+/// reference walk [`kernels::walk_reference`], and returns, per sample,
+/// the prediction error `Xpe` and its reconstruction `X̃pe` (the
+/// quantizer's midpoint, or the stored value on the escape path), with the
+/// absolute bound the walk used. `Xpe` alone is the prediction-error
+/// distribution of the paper's Fig. 1. Theorem 1 states
 /// `X − X̃ = Xpe − X̃pe`; the `theorem_check` experiment verifies that the
-/// distortion measured on these pairs equals the distortion measured on the
-/// actual decompressed output.
+/// distortion measured on these pairs equals the distortion measured on
+/// the actual decompressed output.
 ///
 /// # Errors
-/// Same failure modes as [`prediction_errors`].
+/// Same failure modes as [`compress`], and [`SzError::BadBound`] when the
+/// bound resolves to zero.
 pub fn quantization_probe<T: Scalar>(
     field: &Field<T>,
     cfg: &SzConfig,
@@ -1161,47 +1018,13 @@ pub fn quantization_probe<T: Scalar>(
             "quantization probe needs a positive bound".to_string(),
         ));
     }
-    let n = field.len();
-    let shape = field.shape();
-    let quant = LinearQuantizer::new(eb_abs, cfg.quant_bins);
-    let model = select::model(
-        field.as_slice(),
-        shape,
-        cfg.predictor,
-        eb_abs,
-        cfg.quant_bins,
-    )
-    .model;
-    let data = field.as_slice();
-    let mut recon = vec![0.0f64; n];
-    let mut pe = Vec::with_capacity(n);
-    let mut pe_recon = Vec::with_capacity(n);
-    for lin in 0..n {
-        let x = data[lin].to_f64();
-        let pred = model.predict(&recon, shape, lin);
-        let err = x - pred;
-        pe.push(err);
-        let mut escaped = true;
-        if let Some((_, rerr)) = quant.quantize(err) {
-            let xr = T::from_f64(pred + rerr);
-            if (x - xr.to_f64()).abs() <= eb_abs {
-                // X̃pe as the decompressor sees it: X̃ − pred.
-                pe_recon.push(xr.to_f64() - pred);
-                recon[lin] = xr.to_f64();
-                escaped = false;
-            }
-        }
-        if escaped {
-            let stored = match cfg.escape {
-                EscapeCoding::Exact => x,
-                EscapeCoding::Truncated => unpredictable::truncate_to_bound(data[lin], eb_abs)
-                    .unwrap_or(data[lin])
-                    .to_f64(),
-            };
-            pe_recon.push(stored - pred);
-            recon[lin] = stored;
-        }
-    }
+    let (data, shape) = (field.as_slice(), field.shape());
+    let bins = resolve_bins(field, eb_abs, cfg);
+    let model = select::model(data, shape, cfg.predictor, eb_abs, bins).model;
+    let (walk, preds) = kernels::walk_reference(data, shape, eb_abs, bins, model, cfg.escape);
+    let pe = data.iter().zip(&preds).map(|(x, p)| x.to_f64() - p).collect();
+    // X̃pe as the decompressor sees it: X̃ − pred.
+    let pe_recon = walk.recon.iter().zip(&preds).map(|(r, p)| r - p).collect();
     Ok((pe, pe_recon, eb_abs))
 }
 
@@ -1439,7 +1262,7 @@ mod tests {
     fn prediction_errors_probe_matches_walk() {
         let field = wavy_2d(30, 30);
         let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-3));
-        let (errs, eb) = prediction_errors(&field, &cfg).unwrap();
+        let (errs, _, eb) = quantization_probe(&field, &cfg).unwrap();
         assert_eq!(errs.len(), field.len());
         assert!(eb > 0.0);
         // First sample is predicted as 0 ⇒ its error is the sample itself.

@@ -87,23 +87,6 @@ impl EscapeCoding {
     }
 }
 
-/// Which implementation runs the quantized walk (and its decode mirror).
-///
-/// Both produce **bit-identical containers** — the fused kernels replicate
-/// the reference walk's floating-point evaluation order operation for
-/// operation — so this knob only trades implementation strategy, never
-/// bytes. The reference walk is kept as the correctness oracle for the
-/// differential test suite and as a readable spec of the walk semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Fused predict–quantize–encode kernels: boundary/interior region
-    /// decomposition with branch-free, dimensionality-specialized interior
-    /// loops (default).
-    Fused,
-    /// The per-element reference walk with generic stencil dispatch.
-    Reference,
-}
-
 /// Which lossless backend runs over the entropy-coded payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LosslessBackend {
@@ -161,9 +144,6 @@ pub struct SzConfig {
     /// (see `szlike::store`) at a small ratio cost from the extra
     /// per-block framing.
     pub chunk_dims: [usize; 3],
-    /// Which walk implementation runs the hot loop. Container bytes are
-    /// identical either way; [`KernelMode::Fused`] is the fast default.
-    pub kernel: KernelMode,
 }
 
 impl SzConfig {
@@ -181,7 +161,6 @@ impl SzConfig {
             threads: 1,
             block_rows: 0,
             chunk_dims: [0; 3],
-            kernel: KernelMode::Fused,
         }
     }
 
@@ -238,12 +217,6 @@ impl SzConfig {
     /// must be zero; a zero entry means "full extent on this axis".
     pub fn with_chunk_dims(mut self, chunk_dims: [usize; 3]) -> Self {
         self.chunk_dims = chunk_dims;
-        self
-    }
-
-    /// Select the walk implementation (fused kernels vs reference oracle).
-    pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
         self
     }
 

@@ -1,17 +1,17 @@
 //! Fused predict–quantize–encode kernels: the single-thread hot path.
 //!
-//! The reference walk in `compressor.rs` dispatches a generic stencil per
-//! element (`predict_with`), pays boundary `if`s on every sample, and
-//! routes quantization through an `Option`. These kernels restructure the
-//! walk into **regions**: each row/plane is split into its boundary
-//! (first row/column/plane, where the stencil degrades) and its interior
-//! (where the full stencil applies unconditionally). Boundary elements go
-//! through the reference stencil; interior elements run in branch-free,
-//! dimensionality-specialized loops that fuse prediction, quantization by
-//! multiply-with-inverse-bin-width, reconstruction write-back, and code
-//! emission into a preallocated `u32` buffer. Entropy coding happens in a
-//! second tight pass over that buffer (see `HuffmanCodec::encode`'s
-//! word-at-a-time pair emission).
+//! The reference walk ([`walk_reference`], the codec's spec) dispatches a
+//! generic stencil per element (`predict_with`), pays boundary `if`s on
+//! every sample, and routes quantization through an `Option`. These kernels
+//! restructure the walk into **regions**: each row/plane is split into its
+//! boundary (first row/column/plane, where the stencil degrades) and its
+//! interior (where the full stencil applies unconditionally). Boundary
+//! elements go through the reference stencil; interior elements run in
+//! branch-free, dimensionality-specialized loops that fuse prediction,
+//! quantization by multiply-with-inverse-bin-width, reconstruction
+//! write-back, and code emission into a preallocated `u32` buffer. Entropy
+//! coding happens in a second tight pass over that buffer (see
+//! `HuffmanCodec::encode`'s word-at-a-time pair emission).
 //!
 //! # Bit-identity is a hard invariant
 //!
@@ -97,21 +97,15 @@
 //! over the field. `walk_fused_resume` continues such a slab walk (the
 //! `Auto` bake-off winner's, see [`crate::select`]) over the rest.
 
-#[cfg(test)]
-use crate::compressor::quantized_walk_on;
-#[cfg(test)]
-use crate::config::KernelMode;
 use crate::config::EscapeCoding;
 use crate::error::SzError;
-#[cfg(test)]
-use crate::predictor::Predictor;
-use crate::predictor::{predict, predict_with, PredictorKind, PredictorModel};
+use crate::predictor::{predict, predict_with, Predictor, PredictorKind, PredictorModel};
 use crate::quantizer::{LinearQuantizer, ESCAPE};
 use crate::unpredictable;
 use losslesskit::simd::{self, SimdLevel};
 use ndfield::{Scalar, Shape};
 
-/// Output of a prediction + quantization walk (either implementation).
+/// Output of a fused prediction + quantization walk.
 pub struct WalkResult<T: Scalar> {
     /// One quantization code per sample, scan order; `ESCAPE` marks
     /// unpredictable samples.
@@ -1514,10 +1508,9 @@ pub struct WalkState<T: Scalar> {
 
 /// Fused prediction + quantization walk over a whole field or block.
 ///
-/// Byte-for-byte equivalent to the per-element reference walk
-/// ([`KernelMode::Reference`](crate::KernelMode::Reference)); `recon` is caller-owned
-/// scratch (resized to `data.len()`) holding the reconstruction the
-/// decoder will reproduce.
+/// Bit-for-bit equivalent to the per-element reference walk
+/// [`walk_reference`]; `recon` is caller-owned scratch (resized to
+/// `data.len()`) holding the reconstruction the decoder will reproduce.
 ///
 /// # Panics
 /// Debug-asserts that `data` matches `shape`.
@@ -1593,33 +1586,62 @@ pub(crate) fn walk_fused_resume<T: Scalar>(
     st
 }
 
-/// The per-element reference walk (correctness oracle for the kernels).
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn walk_reference<T: Scalar>(
+/// The per-element reference walk: the codec's spec, and the oracle the
+/// fused walks and decoders are tested against. Each sample is predicted
+/// from the reconstructed prefix, its error quantized on the uniform grid,
+/// and the result kept only if the value the decoder will emit (rounded
+/// through `T`) honours `eb`; otherwise the sample escapes, and the walk
+/// continues from the value the decoder will see (the exact bits, or the
+/// bound-respecting truncation).
+///
+/// Returns the walk's codes, escapes and reconstruction, and each
+/// sample's prediction. [`walk_fused`] produces the same codes, escapes
+/// and reconstruction bit for bit.
+///
+/// # Panics
+/// Debug-asserts that `data` matches `shape`.
+pub fn walk_reference<T: Scalar>(
     data: &[T],
     shape: Shape,
     eb: f64,
     bins: usize,
     pred: PredictorModel,
     escape: EscapeCoding,
-    recon: &mut Vec<f64>,
-) -> WalkResult<T> {
-    let out = quantized_walk_on(
-        data,
-        shape,
-        eb,
-        bins,
-        pred,
-        escape,
-        false,
-        recon,
-        KernelMode::Reference,
-    );
-    WalkResult {
-        codes: out.codes,
-        unpred: out.unpred,
+) -> (WalkState<T>, Vec<f64>) {
+    debug_assert_eq!(data.len(), shape.len());
+    let n = data.len();
+    let quant = LinearQuantizer::new(eb, bins);
+    let mut st = WalkState {
+        codes: Vec::with_capacity(n),
+        unpred: Vec::with_capacity(n / 64 + 4),
+        recon: vec![0.0; n],
+    };
+    let mut preds = Vec::with_capacity(n);
+    for (lin, &sample) in data.iter().enumerate() {
+        let x = sample.to_f64();
+        let p = pred.predict(&st.recon, shape, lin);
+        preds.push(p);
+        let quantized = quant.quantize(x - p).and_then(|(code, rerr)| {
+            // Round through the target precision: the decoder emits T, so
+            // the bound must hold after that cast, and the walk must see
+            // the exact emitted value.
+            let xr = T::from_f64(p + rerr).to_f64();
+            ((x - xr).abs() <= eb).then_some((code, xr))
+        });
+        let (code, value) = quantized.unwrap_or_else(|| {
+            st.unpred.push(sample);
+            let stored = match escape {
+                EscapeCoding::Exact => x,
+                EscapeCoding::Truncated => unpredictable::truncate_to_bound(sample, eb)
+                    .unwrap_or(sample)
+                    .to_f64(),
+            };
+            (ESCAPE, stored)
+        });
+        st.codes.push(code);
+        st.recon[lin] = value;
     }
+    (st, preds)
 }
 
 /// Streaming fused decode mirror: feed quantization codes in scan order
@@ -1811,16 +1833,15 @@ mod tests {
     fn check_equivalence(shape: Shape, model: PredictorModel, eb: f64) {
         let data = ramp(shape.len());
         let mut ra = Vec::new();
-        let mut rb = Vec::new();
         let fused = walk_fused(&data, shape, eb, 512, model, EscapeCoding::Exact, &mut ra);
-        let refw = walk_reference(&data, shape, eb, 512, model, EscapeCoding::Exact, &mut rb);
+        let (refw, _) = walk_reference(&data, shape, eb, 512, model, EscapeCoding::Exact);
         assert_eq!(fused.codes, refw.codes, "{shape:?} {model:?} codes");
         assert_eq!(
             bits(&fused.unpred),
             bits(&refw.unpred),
             "{shape:?} {model:?} unpred"
         );
-        assert_eq!(bits(&ra), bits(&rb), "{shape:?} {model:?} recon");
+        assert_eq!(bits(&ra), bits(&refw.recon), "{shape:?} {model:?} recon");
         let dec_f =
             reconstruct_fused(&fused.codes, fused.unpred, shape, eb, 512, model).unwrap();
         let dec_r =
@@ -2092,7 +2113,7 @@ mod tests {
         data[7] = f64::NAN;
         data[20] = f64::INFINITY;
         data[31] = f64::NEG_INFINITY;
-        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+        let mut ra = Vec::new();
         let f = walk_fused(
             &data,
             shape,
@@ -2102,17 +2123,16 @@ mod tests {
             EscapeCoding::Exact,
             &mut ra,
         );
-        let r = walk_reference(
+        let (r, _) = walk_reference(
             &data,
             shape,
             1e-3,
             256,
             PredictorModel::Lorenzo1,
             EscapeCoding::Exact,
-            &mut rb,
         );
         assert_eq!(f.codes, r.codes);
-        assert_eq!(bits(&ra), bits(&rb));
+        assert_eq!(bits(&ra), bits(&r.recon));
         // Non-finite samples escape (and poison neighbouring stencils into
         // escaping too) — identically on both paths.
         assert_eq!(bits(&f.unpred), bits(&r.unpred));

@@ -54,10 +54,10 @@ pub mod unpredictable;
 pub use compressor::{
     compress, compress_with_detail, decompress, decompress_partial,
     decompress_partial_with_threads, decompress_with_limits, decompress_with_threads,
-    prediction_errors, quantization_probe, BlockDamage, CompressionDetail, DamageReport,
+    quantization_probe, BlockDamage, CompressionDetail, DamageReport,
     DecodeLimits,
 };
-pub use config::{EntropyCoder, ErrorBound, EscapeCoding, KernelMode, LosslessBackend, SzConfig};
+pub use config::{EntropyCoder, ErrorBound, EscapeCoding, LosslessBackend, SzConfig};
 pub use error::{DecodeError, SzError};
 pub use grid::{ChunkGrid, Region};
 pub use inspect::{

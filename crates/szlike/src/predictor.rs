@@ -702,13 +702,11 @@ mod tests {
         assert_eq!(lorenzo_3d(&recon, d1, d2, 0, 0, 0), 0.0);
         // k-axis edge (i=j=0): 1D along k.
         assert_eq!(lorenzo_3d(&recon, d1, d2, 0, 0, 2), recon[1]);
-        // Face i=0: 2D Lorenzo in (j,k).
-        let expect = recon[4] + recon[2 * 3 + 1] - recon[3 + 1];
-        // (j=2,k=2) on face i=0: r[0,2,1] + r[0,1,2] - r[0,1,1]
-        let expect_face =
-            recon[(0 * 3 + 2) * 3 + 1] + recon[(0 * 3 + 1) * 3 + 2] - recon[(0 * 3 + 1) * 3 + 1];
+        // Face i=0: 2D Lorenzo in (j,k); at (j=2,k=2) that is
+        // r[0,2,1] + r[0,1,2] − r[0,1,1].
+        let at = |i: usize, j: usize, k: usize| recon[(i * d1 + j) * d2 + k];
+        let expect_face = at(0, 2, 1) + at(0, 1, 2) - at(0, 1, 1);
         assert_eq!(lorenzo_3d(&recon, d1, d2, 0, 2, 2), expect_face);
-        let _ = expect;
     }
 
     #[test]

@@ -39,9 +39,9 @@ use std::collections::HashMap;
 use ndfield::{Field, Scalar};
 
 use crate::blocked::{block_range, resolve_block_rows, use_blocked};
-use crate::compressor::quantized_walk_on;
 use crate::config::{LosslessBackend, SzConfig};
 use crate::error::SzError;
+use crate::kernels::walk_fused;
 
 /// Value-range-relative reference bound of the pilot walk. Fine enough
 /// that every practically requested bound is a *coarsening* (`s ≥ 1`)
@@ -149,25 +149,20 @@ impl RateModel {
             let blocks = shape.dims()[0].div_ceil(block_rows);
             for b in 0..blocks {
                 let (range, bshape) = block_range(shape, block_rows, b);
-                let walk = quantized_walk_on(
+                let walk = walk_fused(
                     &data[range],
                     bshape,
                     eb_ref,
                     PILOT_BINS,
                     model,
                     cfg.escape,
-                    false,
                     &mut recon,
-                    cfg.kernel,
                 );
                 tally(&walk.codes);
             }
             blocks
         } else {
-            let walk = quantized_walk_on(
-                data, shape, eb_ref, PILOT_BINS, model, cfg.escape, false, &mut recon,
-                cfg.kernel,
-            );
+            let walk = walk_fused(data, shape, eb_ref, PILOT_BINS, model, cfg.escape, &mut recon);
             tally(&walk.codes);
             1
         };

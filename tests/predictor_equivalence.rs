@@ -15,15 +15,19 @@
 //! 4. Container bytes never depend on the thread count, even when blocks
 //!    pick different predictors (selection runs inside the per-block task
 //!    from the block's own samples — deterministic by construction).
-//! 5. Fused and reference kernels produce identical containers for every
-//!    predictor (the kernel oracle).
+//! 5. Every block of every container decodes to the walk oracle
+//!    (`szlike::kernels::walk_reference`) run on that block's samples with
+//!    the predictor `select::model` picks for them, and the fused walk of
+//!    each block equals the oracle's codes, escapes and reconstruction.
 
 mod common;
+#[path = "../crates/szlike/tests/oracle/mod.rs"]
+mod oracle;
 
 use fixed_psnr::prelude::*;
 use fixed_psnr::sz;
 use proptest::prelude::*;
-use szlike::{KernelMode, PredictorKind, Region, SzStore};
+use szlike::{PredictorKind, Region, SzStore};
 
 /// Every selectable predictor, including the cost-driven bake-off.
 const KINDS: [PredictorKind; 5] = [
@@ -202,10 +206,11 @@ proptest! {
         prop_assert_eq!(two, four);
     }
 
-    /// (5): the fused and reference kernels are bit-identical oracles of
-    /// each other for every predictor, monolithic and blocked.
+    /// (5): for every predictor, monolithic and blocked, each block of the
+    /// container decodes to the oracle walk of its samples, and the fused
+    /// walk of each block is the oracle walk bit for bit.
     #[test]
-    fn fused_and_reference_kernels_produce_identical_containers(
+    fn fused_containers_decode_to_the_walk_oracle(
         kind_idx in 0usize..5,
         seed in any::<u64>(),
         blocked in proptest::bool::ANY,
@@ -216,9 +221,9 @@ proptest! {
         if blocked {
             cfg = cfg.with_threads(2).with_block_rows(8);
         }
-        let fused = sz::compress(&field, &cfg.with_kernel(KernelMode::Fused)).unwrap();
-        let reference = sz::compress(&field, &cfg.with_kernel(KernelMode::Reference)).unwrap();
-        prop_assert_eq!(fused, reference);
+        if let Err(msg) = oracle::container_matches_oracle(&field, &cfg, &format!("{kind:?}")) {
+            prop_assert!(false, "{}", msg);
+        }
     }
 
     /// (6): containers and decoded bits are identical at every

@@ -41,26 +41,30 @@ fn theorem1_quantizer_distortion_equals_data_distortion() {
 
 #[test]
 fn theorem1_identity_is_pointwise() {
-    // Stronger than the MSE statement: X − X̃ = Xpe − X̃pe sample by sample.
+    // Stronger than the MSE statement: X − X̃ = Xpe − X̃pe sample by sample,
+    // also when the walk runs at the adaptively selected bin count.
     let nf = &generate(DatasetId::Atm, Resolution::Small, 32)[0]; // CLDHGH
-    let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-3));
-    let (pe, pe_recon, _) = sz::quantization_probe(&nf.data, &cfg).expect("probe");
-    let bytes = sz::compress(&nf.data, &cfg).expect("compress");
-    let back: Field<f32> = sz::decompress(&bytes).expect("decompress");
-    for (lin, ((&x, &xt), (e, et))) in nf
-        .data
-        .as_slice()
-        .iter()
-        .zip(back.as_slice())
-        .zip(pe.iter().zip(&pe_recon))
-        .enumerate()
-    {
-        let lhs = x as f64 - xt as f64;
-        let rhs = e - et;
-        assert!(
-            (lhs - rhs).abs() <= 1e-9 * (1.0 + lhs.abs()),
-            "sample {lin}: X−X̃ = {lhs} but Xpe−X̃pe = {rhs}"
-        );
+    let base = SzConfig::new(ErrorBound::ValueRangeRel(1e-3));
+    for cfg in [base, base.with_auto_intervals(true)] {
+        let (pe, pe_recon, _) = sz::quantization_probe(&nf.data, &cfg).expect("probe");
+        let bytes = sz::compress(&nf.data, &cfg).expect("compress");
+        let back: Field<f32> = sz::decompress(&bytes).expect("decompress");
+        for (lin, ((&x, &xt), (e, et))) in nf
+            .data
+            .as_slice()
+            .iter()
+            .zip(back.as_slice())
+            .zip(pe.iter().zip(&pe_recon))
+            .enumerate()
+        {
+            let lhs = x as f64 - xt as f64;
+            let rhs = e - et;
+            assert!(
+                (lhs - rhs).abs() <= 1e-9 * (1.0 + lhs.abs()),
+                "auto_intervals {}: sample {lin}: X−X̃ = {lhs} but Xpe−X̃pe = {rhs}",
+                cfg.auto_intervals
+            );
+        }
     }
 }
 
