@@ -38,9 +38,16 @@ fn main() {
         // Three representative fields per data set keep the output readable.
         for (name, field) in fields.iter().take(3) {
             let cfg = SzConfig::new(ErrorBound::ValueRangeRel(ebrel));
-            let Ok((pe, pe_recon, _)) = quantization_probe(field, &cfg) else {
-                println!("{:<10} {:<20} (degenerate field skipped)", id.name(), name);
-                continue;
+            let (pe, pe_recon) = match quantization_probe(field, &cfg) {
+                Ok((pe, pe_recon, _)) => (pe, pe_recon),
+                Err(e) => {
+                    println!(
+                        "{:<10} {:<20} (bound not supported by the probe: {e})",
+                        id.name(),
+                        name
+                    );
+                    continue;
+                }
             };
             let quant_mse = mse_slices(&pe, &pe_recon);
             let bytes = szlike::compress(field, &cfg).expect("compress");

@@ -1003,14 +1003,23 @@ fn decompress_log_rel<T: Scalar>(
 /// distortion measured on these pairs equals the distortion measured on
 /// the actual decompressed output.
 ///
+/// The probe covers the walks that run on the samples themselves.
+/// [`ErrorBound::PointwiseRel`] compresses `ln|x|` through the log
+/// transform instead, so the probe has no pairs to return for it.
+///
 /// # Errors
 /// Same failure modes as [`compress`], and [`SzError::BadBound`] when the
-/// bound resolves to zero.
+/// bound resolves to zero or is [`ErrorBound::PointwiseRel`].
 pub fn quantization_probe<T: Scalar>(
     field: &Field<T>,
     cfg: &SzConfig,
 ) -> Result<(Vec<f64>, Vec<f64>, f64), SzError> {
     cfg.validate()?;
+    if let ErrorBound::PointwiseRel(_) = cfg.bound {
+        return Err(SzError::BadBound(
+            "quantization probe does not cover the pointwise-relative log transform".to_string(),
+        ));
+    }
     let vr = field.value_range();
     let eb_abs = cfg.bound.absolute(vr)?;
     if eb_abs <= 0.0 {

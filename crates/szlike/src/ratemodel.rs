@@ -323,6 +323,7 @@ impl RateModel {
     /// # Panics
     /// Panics when `points == 0` or `step` is not finite and positive.
     pub fn curve(&self, psnr_lo: f64, step: f64, points: usize, lz_gain: f64) -> RateCurve {
+        let _span = fpsnr_obs::span("sz.ratemodel.curve");
         assert!(points > 0, "curve needs at least one grid point");
         assert!(
             step.is_finite() && step > 0.0,

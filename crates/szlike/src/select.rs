@@ -14,6 +14,8 @@
 use crate::config::EscapeCoding;
 use crate::kernels::{walk_fused_resume, WalkState, ROUND_MAGIC};
 use crate::predictor::{fit_regression, PredictorKind, PredictorModel, REGRESSION_COEFF_BYTES};
+use losslesskit::freq;
+use losslesskit::simd::{self, SimdLevel};
 use ndfield::{Field, Scalar, Shape};
 
 /// Share of sampled prediction errors the chosen bin grid must cover (SZ's
@@ -53,79 +55,26 @@ pub(crate) const LZ_SLACK_BITS: f64 = 0.5;
 /// length of at most `k`, so one pass counts the magnitudes by bit length
 /// and the coverage of every candidate grid is a prefix sum. With `eb` =
 /// 0 no sample counts as covered (0/0 is NaN), so the result is `cap`.
+///
+/// The pass runs innermost row by innermost row, so the stencil's
+/// boundary cases are settled once per row: the rows of the first
+/// line and plane and each row's first column are peeled off, and the
+/// rest of a row is one plain loop that writes each sample's bit length
+/// as a byte into a block on the stack, which [`freq::count_bytes`]
+/// counts. No prediction reads the reconstruction, so samples are
+/// independent and that loop runs several lanes at once; it is compiled
+/// once plainly and once for AVX2 (chosen by [`simd::active`]), with
+/// every sample's float operations unchanged, so the result is the same
+/// at every level.
 pub fn intervals<T: Scalar>(field: &Field<T>, eb: f64, cap: usize) -> usize {
     let _span = fpsnr_obs::span("sz.select.intervals");
-    let n = field.len();
-    let data = field.as_slice();
-    let stride = (n / INTERVAL_SAMPLES).max(1);
-    let at = |lin: usize| data[lin].to_f64();
-    let scale = 2.0 * eb;
     // by_bits[b]: sampled magnitudes of bit length b (64 for non-finite).
     let mut by_bits = [0u64; 65];
-    let mut tally = |x: f64, pred: f64| {
-        let err = x - pred;
-        let q = err.abs() / scale;
-        let qmag = if err.is_finite() && !q.is_nan() {
-            // `round` for non-NaN input, bit for bit; the cast saturates
-            // like the old `min(u64::MAX)` clamp.
-            (q + ROUND_MAGIC) as u64
-        } else {
-            u64::MAX
-        };
-        by_bits[(u64::BITS - qmag.leading_zeros()) as usize] += 1;
-    };
-    match field.shape() {
-        _ if n == 0 => {}
-        Shape::D1(_) => {
-            for lin in (0..n).step_by(stride) {
-                tally(at(lin), if lin == 0 { 0.0 } else { at(lin - 1) });
-            }
+    sampled_classes(field, eb, |classes| {
+        for (b, c) in by_bits.iter_mut().zip(freq::count_bytes(classes)) {
+            *b += c;
         }
-        Shape::D2(_, cols) => {
-            let (si, sj) = (stride / cols, stride % cols);
-            let (mut i, mut j) = (0, 0);
-            for lin in (0..n).step_by(stride) {
-                let pred = match (i > 0, j > 0) {
-                    (false, false) => 0.0,
-                    (false, true) => at(lin - 1),
-                    (true, false) => at(lin - cols),
-                    (true, true) => at(lin - 1) + at(lin - cols) - at(lin - cols - 1),
-                };
-                tally(at(lin), pred);
-                j += sj;
-                i += si;
-                if j >= cols {
-                    j -= cols;
-                    i += 1;
-                }
-            }
-        }
-        Shape::D3(_, d1, d2) => {
-            let p = d1 * d2;
-            let (si, sj, sk) = (stride / p, stride % p / d2, stride % d2);
-            let (mut i, mut j, mut k) = (0, 0, 0);
-            for lin in (0..n).step_by(stride) {
-                let g = |c: bool, off: usize| if c { at(lin - off) } else { 0.0 };
-                let pred = g(k > 0, 1) + g(j > 0, d2) + g(i > 0, p)
-                    - g(j > 0 && k > 0, d2 + 1)
-                    - g(i > 0 && k > 0, p + 1)
-                    - g(i > 0 && j > 0, p + d2)
-                    + g(i > 0 && j > 0 && k > 0, p + d2 + 1);
-                tally(at(lin), pred);
-                k += sk;
-                j += sj;
-                i += si;
-                if k >= d2 {
-                    k -= d2;
-                    j += 1;
-                }
-                if j >= d1 {
-                    j -= d1;
-                    i += 1;
-                }
-            }
-        }
-    }
+    });
     let sampled: u64 = by_bits.iter().sum();
     let need = ((sampled as f64) * PRED_THRESHOLD).ceil() as u64;
     let mut bins = 32usize;
@@ -139,6 +88,195 @@ pub fn intervals<T: Scalar>(field: &Field<T>, eb: f64, cap: usize) -> usize {
         bins *= 2;
     }
     cap
+}
+
+/// Hands the bit length of each sampled magnitude, in scan order, to
+/// `sink` in blocks of at most [`CLASS_BLOCK`] bytes.
+fn sampled_classes<T: Scalar>(field: &Field<T>, eb: f64, sink: impl FnMut(&[u8])) {
+    let stride = (field.len() / INTERVAL_SAMPLES).max(1);
+    let (data, shape, scale) = (field.as_slice(), field.shape(), 2.0 * eb);
+    match simd::active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `simd::active()` reports AVX2 only when `simd::detect()`
+        // found it on this CPU.
+        SimdLevel::Avx2 => unsafe { sample_classes_avx2(data, shape, stride, scale, sink) },
+        _ => sample_classes(data, shape, stride, scale, sink),
+    }
+}
+
+/// The bit length of `round(|err| / scale)`, 64 when it is not finite.
+///
+/// For `y = q + ROUND_MAGIC ≥ 0` the saturating cast `y as u64` (the walk's
+/// `round`) has bit length `e + 1` when `y ∈ [2^e, 2^(e+1))`, 0 below 1
+/// and 64 from 2⁶⁴ on, which is the biased exponent minus 1022, clamped.
+/// ∞ and NaN carry the top exponent and clamp to 64, like the uncovered
+/// non-finite errors. A negative `y` (only from a negative `eb`) casts to
+/// 0, so a finite error gets bit length 0 there; the sign bit sends a
+/// non-finite one to 64.
+#[inline(always)]
+fn bit_length_class(err: f64, scale: f64) -> u8 {
+    let y = err.abs() / scale + ROUND_MAGIC;
+    let class = ((y.to_bits() >> 52) as i32 - 1022).clamp(0, 64) as u8;
+    if y < 0.0 && err.is_finite() {
+        0
+    } else {
+        class
+    }
+}
+
+/// [`sample_classes`] compiled with AVX2 enabled.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sample_classes_avx2<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    stride: usize,
+    scale: f64,
+    sink: impl FnMut(&[u8]),
+) {
+    sample_classes(data, shape, stride, scale, sink);
+}
+
+/// Hands [`bit_length_class`] of the first-order Lorenzo error of every
+/// sample at a multiple of `stride`, in scan order, to `sink` (one byte
+/// each, `n.div_ceil(stride)` in all), through one block on the stack:
+/// the bytes stay in cache and the pass allocates nothing.
+///
+/// Every shape runs as `planes × rows × cols`. A row's neighbours are the
+/// row before it in its plane (`n`), the same row one plane down (`u`)
+/// and the row before that (`un`). The terms of neighbours off the grid
+/// drop out of the seven-term stencil, whose reference form adds them as
+/// `0.0`: adding a zero changes at most the sign of a zero result, and no
+/// later operation (nor the final `abs`) turns a signed zero into a
+/// different magnitude, so both forms give the same error magnitude.
+#[inline(always)]
+fn sample_classes<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    stride: usize,
+    scale: f64,
+    mut sink: impl FnMut(&[u8]),
+) {
+    let (planes, rows, cols) = match shape {
+        Shape::D1(n) => (1, 1, n),
+        Shape::D2(r, c) => (1, r, c),
+        Shape::D3(a, b, c) => (a, b, c),
+    };
+    let plane = rows * cols;
+    let mut block = [0u8; CLASS_BLOCK];
+    let mut fill = 0;
+    for i in 0..planes {
+        for j in 0..rows {
+            let lin0 = i * plane + j * cols;
+            // The first sampled column of this row, and how many it samples.
+            let mut first = (stride - lin0 % stride) % stride;
+            if first >= cols {
+                continue;
+            }
+            let mut left = (cols - 1 - first) / stride + 1;
+            let at = |lin: usize| &data[lin..lin + cols];
+            let x = at(lin0);
+            let stencil = match (i > 0, j > 0) {
+                (false, false) => Stencil::Line,
+                (false, true) => Stencil::Plane(at(lin0 - cols)),
+                (true, false) => Stencil::Plane(at(lin0 - plane)),
+                (true, true) => {
+                    Stencil::Volume(at(lin0 - cols), at(lin0 - plane), at(lin0 - plane - cols))
+                }
+            };
+            while left > 0 {
+                if fill == CLASS_BLOCK {
+                    sink(&block);
+                    fill = 0;
+                }
+                let take = left.min(CLASS_BLOCK - fill);
+                let out = &mut block[fill..fill + take];
+                // A literal stride of 1 lets the compiler see contiguous
+                // lanes.
+                if stride == 1 {
+                    row_classes(x, stencil, first, 1, scale, out);
+                } else {
+                    row_classes(x, stencil, first, stride, scale, out);
+                }
+                fill += take;
+                first += take * stride;
+                left -= take;
+            }
+        }
+    }
+    sink(&block[..fill]);
+}
+
+/// The neighbour rows of one innermost row (see [`sample_classes`]).
+#[derive(Clone, Copy)]
+enum Stencil<'a, T> {
+    /// No earlier row: predict from the left neighbour.
+    Line,
+    /// One earlier row `r`: `x[k−1] + r[k] − r[k−1]`.
+    Plane(&'a [T]),
+    /// Rows `n`, `u`, `un`: the seven-term 3-D stencil.
+    Volume(&'a [T], &'a [T], &'a [T]),
+}
+
+/// Classes of the `out.len()` samples `first, first + stride, …` of row
+/// `x` into `out`.
+#[inline(always)]
+fn row_classes<'a, T: Scalar>(
+    x: &'a [T],
+    stencil: Stencil<'a, T>,
+    first: usize,
+    stride: usize,
+    scale: f64,
+    out: &mut [u8],
+) {
+    let f = |v: &[T], k: usize| v[k].to_f64();
+    // Column 0 has no left neighbour: its terms drop out.
+    let (lo, out) = if first == 0 {
+        let pred = match stencil {
+            Stencil::Line => 0.0,
+            Stencil::Plane(r) => f(r, 0),
+            Stencil::Volume(n, u, un) => f(n, 0) + f(u, 0) - f(un, 0),
+        };
+        out[0] = bit_length_class(f(x, 0) - pred, scale);
+        (stride, &mut out[1..])
+    } else {
+        (first, out)
+    };
+    let Some(span) = out.len().checked_sub(1).map(|t| t * stride + 1) else {
+        return;
+    };
+    // Each view starts at the first interior sample (`here`) or its left
+    // neighbour (`west`) and covers the sampled columns `t · stride`.
+    let here = |v: &'a [T]| -> &'a [T] { &v[lo..lo + span] };
+    let west = |v: &'a [T]| -> &'a [T] { &v[lo - 1..lo - 1 + span] };
+    let (xs, w) = (here(x), west(x));
+    match stencil {
+        Stencil::Line => {
+            for (t, c) in out.iter_mut().enumerate() {
+                let k = t * stride;
+                *c = bit_length_class(f(xs, k) - f(w, k), scale);
+            }
+        }
+        Stencil::Plane(r) => {
+            let (r, rw) = (here(r), west(r));
+            for (t, c) in out.iter_mut().enumerate() {
+                let k = t * stride;
+                let pred = f(w, k) + f(r, k) - f(rw, k);
+                *c = bit_length_class(f(xs, k) - pred, scale);
+            }
+        }
+        Stencil::Volume(n, u, un) => {
+            let (n, nw, u, uw, un, unw) = (here(n), west(n), here(u), west(u), here(un), west(un));
+            for (t, c) in out.iter_mut().enumerate() {
+                let k = t * stride;
+                let pred = f(w, k) + f(n, k) + f(u, k) - f(nw, k) - f(uw, k) - f(un, k) + f(unw, k);
+                *c = bit_length_class(f(xs, k) - pred, scale);
+            }
+        }
+    }
 }
 
 /// The leading whole-row slab of `shape` holding at most `cap` samples
@@ -203,7 +341,9 @@ pub struct Selection<T: Scalar> {
 /// Lorenzo¹ walks the whole slab. Each challenger walks it in steps of
 /// about 4 096 samples and stops as soon as a lower bound on its final
 /// price proves it cannot price below the incumbent, so the result is the
-/// one a full walk of every candidate reaches (DESIGN §15.4).
+/// one a full walk of every candidate reaches (DESIGN §15.4). The bound is
+/// checked before the first step too, where it is the challenger's
+/// handicap alone; Regression is fitted only if it survives that check.
 pub fn model<T: Scalar>(
     data: &[T],
     shape: Shape,
@@ -212,22 +352,32 @@ pub fn model<T: Scalar>(
     bins: usize,
 ) -> Selection<T> {
     let _span = fpsnr_obs::span("sz.select.model");
-    let forced = |model| Selection { model, walk: None };
     match kind {
-        PredictorKind::Lorenzo1 => forced(PredictorModel::Lorenzo1),
-        PredictorKind::Lorenzo2 => forced(PredictorModel::Lorenzo2),
-        PredictorKind::Spline => forced(PredictorModel::Spline),
-        PredictorKind::Regression => {
-            forced(PredictorModel::Regression(fit_regression(data, shape)))
-        }
         PredictorKind::Auto => {
             let (sel, work) = bake_off(data, shape, eb, bins);
             if work.walked > 0 {
                 fpsnr_obs::add("sz.select.walked_samples", work.walked);
                 fpsnr_obs::add("sz.select.pruned", work.pruned);
+                fpsnr_obs::add("sz.select.skipped", work.skipped);
             }
             sel
         }
+        kind => Selection {
+            model: forced(kind, data, shape),
+            walk: None,
+        },
+    }
+}
+
+/// The model of a forced (non-`Auto`) kind; Regression fits its
+/// hyperplane to the whole input.
+fn forced<T: Scalar>(kind: PredictorKind, data: &[T], shape: Shape) -> PredictorModel {
+    match kind {
+        PredictorKind::Auto => unreachable!("Auto is resolved by the bake-off"),
+        PredictorKind::Lorenzo1 => PredictorModel::Lorenzo1,
+        PredictorKind::Lorenzo2 => PredictorModel::Lorenzo2,
+        PredictorKind::Spline => PredictorModel::Spline,
+        PredictorKind::Regression => PredictorModel::Regression(fit_regression(data, shape)),
     }
 }
 
@@ -252,8 +402,11 @@ const ESCAPE_CLASS: usize = CLASSES - 1;
 struct BakeoffWork {
     /// Slab samples walked, summed over the candidates.
     walked: u64,
-    /// Challengers stopped before the end of the slab.
+    /// Challengers stopped part way through the slab.
     pruned: u64,
+    /// Challengers ruled out before their first step: their handicap
+    /// alone prices above the incumbent. Regression is not fitted then.
+    skipped: u64,
 }
 
 /// The `Auto` bake-off behind [`model`], with what it walked.
@@ -277,27 +430,33 @@ fn bake_off<T: Scalar>(
     // Samples per outer slice: walk steps end on whole slices.
     let slice = slab_len / slab_shape.dims()[0];
     let step = (CHECKPOINT / slice).max(1) * slice;
-    let regression = PredictorModel::Regression(fit_regression(data, shape));
-    let candidates: [(PredictorModel, f64); 4] = [
-        (PredictorModel::Lorenzo1, 0.0),
-        (PredictorModel::Lorenzo2, LZ_SLACK_BITS),
+    let candidates: [(PredictorKind, f64); 4] = [
+        (PredictorKind::Lorenzo1, 0.0),
+        (PredictorKind::Lorenzo2, LZ_SLACK_BITS),
         (
-            regression,
+            PredictorKind::Regression,
             LZ_SLACK_BITS + (REGRESSION_COEFF_BYTES * 8) as f64 / n as f64,
         ),
-        (PredictorModel::Spline, LZ_SLACK_BITS),
+        (PredictorKind::Spline, LZ_SLACK_BITS),
     ];
     let sample_bits = (T::BYTES * 8) as f64;
     let mut best_cost = f64::INFINITY;
     let mut spare = WalkState::default();
-    for (model, extra_bits) in candidates {
+    for (kind, extra_bits) in candidates {
+        let mut counts = ClassCounts::default();
+        // With nothing walked the bound is `extra_bits` (up to rounding),
+        // which every price includes; Lorenzo¹ has no incumbent to lose to.
+        if counts.cannot_beat(best_cost, slab_len, sample_bits, extra_bits) {
+            work.skipped += 1;
+            continue;
+        }
+        let model = forced(kind, data, shape);
         spare.codes.clear();
         spare.unpred.clear();
         spare.recon.clear();
         spare.codes.reserve_exact(slab_len);
         spare.recon.reserve_exact(slab_len);
-        let mut counts = ClassCounts::default();
-        // Lorenzo¹ has no incumbent to lose to: one walk over the slab.
+        // Lorenzo¹ walks the slab in one step.
         let step = if best_cost.is_finite() {
             step
         } else {
@@ -352,41 +511,72 @@ struct ClassCounts {
     /// Codes per class: zero, `k`-bit magnitudes, escapes
     /// (`ESCAPE_CLASS`).
     hist: [u64; CLASSES],
-    /// Mantissa plus sign bits: `k` per nonzero in-range `k`-bit
-    /// magnitude.
-    live_bits: u64,
 }
 
 impl Default for ClassCounts {
     fn default() -> Self {
-        ClassCounts {
-            hist: [0; CLASSES],
-            live_bits: 0,
-        }
+        ClassCounts { hist: [0; CLASSES] }
     }
+}
+
+/// Class bytes per [`freq::count_bytes`] call, in a block on the stack.
+const CLASS_BLOCK: usize = 16_384;
+
+/// Writes each code's price class to `out`: [`ESCAPE_CLASS`] for code 0
+/// and magnitudes `q = |code − bins/2|` above the grid's radius, else the
+/// bit length of `q`. The bit length is read from the exponent of `q`'s
+/// f64, which is exact for every i32, so the loop runs in i32 lanes:
+/// codes are below `bins` ≤ 2²⁴ (`SzConfig::validate`).
+#[inline(always)]
+fn code_classes(codes: &[u32], bins: usize, out: &mut [u8]) {
+    let radius = (bins / 2).saturating_sub(1).max(1) as i32;
+    let centre = (bins / 2) as i32;
+    for (class, &code) in out.iter_mut().zip(codes) {
+        let q = (code as i32 - centre).abs();
+        let bits = (((q as f64).to_bits() >> 52) as i32 - 1022).max(0) as u8;
+        *class = if code == 0 || q > radius {
+            ESCAPE_CLASS as u8
+        } else {
+            bits
+        };
+    }
+}
+
+/// [`code_classes`] compiled with AVX2 enabled.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn code_classes_avx2(codes: &[u32], bins: usize, out: &mut [u8]) {
+    code_classes(codes, bins, out);
 }
 
 impl ClassCounts {
     /// Count `codes` from a grid of `bins` bins (`0` = escape).
     fn add(&mut self, codes: &[u32], bins: usize) {
-        let radius = (bins as u64 / 2).saturating_sub(1).max(1);
-        let code_radius = (bins / 2) as i64;
-        for &code in codes {
-            let q = if code == 0 {
-                u64::MAX
-            } else {
-                (code as i64 - code_radius).unsigned_abs()
-            };
-            let class = if q > radius {
-                ESCAPE_CLASS
-            } else {
-                64 - q.leading_zeros() as usize
-            };
-            self.hist[class] += 1;
-            if class != ESCAPE_CLASS {
-                self.live_bits += class as u64;
+        assert!(bins <= 1 << 30, "bins {bins} exceed the i32 code lanes");
+        let mut block = [0u8; CLASS_BLOCK];
+        let level = simd::active();
+        for codes in codes.chunks(CLASS_BLOCK) {
+            let classes = &mut block[..codes.len()];
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `simd::active()` reports AVX2 only when
+                // `simd::detect()` found it on this CPU.
+                SimdLevel::Avx2 => unsafe { code_classes_avx2(codes, bins, classes) },
+                _ => code_classes(codes, bins, classes),
+            }
+            let counts = freq::count_bytes(classes);
+            for (h, c) in self.hist.iter_mut().zip(counts) {
+                *h += c;
             }
         }
+    }
+
+    /// Mantissa plus sign bits: `k` per in-range `k`-bit magnitude.
+    fn live_bits(&self) -> u64 {
+        (0..ESCAPE_CLASS).map(|k| k as u64 * self.hist[k]).sum()
     }
 
     /// Estimated coded bits/value of the counted codes.
@@ -416,7 +606,7 @@ impl ClassCounts {
             }
         }
         let esc_frac = self.hist[ESCAPE_CLASS] as f64 / n;
-        h + self.live_bits as f64 / n + esc_frac * sample_bits + extra_bits
+        h + self.live_bits() as f64 / n + esc_frac * sample_bits + extra_bits
     }
 
     /// Whether no completion of the counted codes to `len` codes can
@@ -448,7 +638,7 @@ impl ClassCounts {
         let r = len as u64 - m;
         let n = len as f64;
         let s: f64 = self.hist.iter().map(|&c| f(c)).sum();
-        let linear = self.live_bits as f64 + sample_bits * self.hist[ESCAPE_CLASS] as f64;
+        let linear = self.live_bits() as f64 + sample_bits * self.hist[ESCAPE_CLASS] as f64;
         let mut least = f64::INFINITY;
         for (class, &c) in self.hist.iter().enumerate() {
             let per_code = match class {
@@ -471,6 +661,22 @@ mod tests {
     /// The sort-based `optimize_intervals` that [`intervals`] replaced:
     /// collect every sampled magnitude, sort, and binary-search each grid.
     fn intervals_oracle<T: Scalar>(field: &Field<T>, eb: f64, cap: usize) -> usize {
+        let mut qmags = sampled_qmags(field, eb);
+        qmags.sort_unstable();
+        let need = ((qmags.len() as f64) * PRED_THRESHOLD).ceil() as usize;
+        let mut bins = 32usize;
+        while bins < cap {
+            let radius = (bins / 2 - 1) as u64;
+            if qmags.partition_point(|&q| q <= radius) >= need {
+                return bins;
+            }
+            bins *= 2;
+        }
+        cap
+    }
+
+    /// The oracle's sampled magnitudes, in scan order.
+    fn sampled_qmags<T: Scalar>(field: &Field<T>, eb: f64) -> Vec<u64> {
         let n = field.len();
         let data = field.as_slice();
         let shape = field.shape();
@@ -516,17 +722,42 @@ mod tests {
             });
             lin += stride;
         }
-        qmags.sort_unstable();
-        let need = ((qmags.len() as f64) * PRED_THRESHOLD).ceil() as usize;
-        let mut bins = 32usize;
-        while bins < cap {
-            let radius = (bins / 2 - 1) as u64;
-            if qmags.partition_point(|&q| q <= radius) >= need {
-                return bins;
+        qmags
+    }
+
+    /// [`intervals`] and each sample's class at every dispatch level
+    /// against [`intervals_oracle`] and its magnitudes.
+    fn every_level_matches_oracle<T: Scalar>(
+        field: &Field<T>,
+        eb: f64,
+        cap: usize,
+    ) -> Result<(), String> {
+        let want = intervals_oracle(field, eb, cap);
+        let want_classes: Vec<u8> = sampled_qmags(field, eb)
+            .iter()
+            .map(|q| (u64::BITS - q.leading_zeros()) as u8)
+            .collect();
+        for level in SimdLevel::ALL {
+            simd::force(Some(level));
+            let mut classes = Vec::new();
+            sampled_classes(field, eb, |block| classes.extend_from_slice(block));
+            let got = intervals(field, eb, cap);
+            simd::force(None);
+            if got != want {
+                return Err(format!("{level:?}: {got} vs {want}"));
             }
-            bins *= 2;
+            if classes != want_classes {
+                let i = (0..)
+                    .find(|&i| classes.get(i) != want_classes.get(i))
+                    .unwrap_or(0);
+                return Err(format!(
+                    "{level:?}: sample {i} class {:?} vs {:?}",
+                    classes.get(i),
+                    want_classes.get(i)
+                ));
+            }
         }
-        cap
+        Ok(())
     }
 
     /// Xorshift noise at a seed-dependent scale over a ramp, with NaN and
@@ -749,11 +980,62 @@ mod tests {
         }
 
         #[test]
+        fn intervals_match_the_sorting_oracle_at_every_level(
+            stride in 1usize..6,
+            form in 0usize..6,
+            seed in proptest::prelude::any::<u64>(),
+            eb_pick in 0usize..7,
+            cap_pick in 0usize..4,
+            wide in proptest::bool::ANY,
+        ) {
+            let mut s = seed | 1;
+            let mut pick = |lo: usize, hi: usize| lo + next(&mut s) as usize % (hi - lo);
+            // About `stride · 65 536` samples, so the sampling stride is
+            // `stride` (stride 1 also draws small fields); rows of random
+            // width, mostly not a multiple of the stride.
+            let n = if stride == 1 {
+                pick(1, 2 * INTERVAL_SAMPLES)
+            } else {
+                pick(stride * INTERVAL_SAMPLES, (stride + 1) * INTERVAL_SAMPLES)
+            };
+            let (c, b) = (pick(1, 700), pick(1, 40));
+            let shape = match form {
+                0 => Shape::D1(n),
+                1 => Shape::D2(1, n),
+                2 => Shape::D2(n, 1),
+                3 => Shape::D3(n, 1, 1),
+                4 => Shape::D2(n.div_ceil(c), c),
+                _ => Shape::D3(n.div_ceil(b * c), b, c),
+            };
+            // Non-finite samples at none, ~1 in 300 or ~1 in 8 (by seed).
+            let data = carrier(shape.len(), seed);
+            // The carriers span a few units.
+            let range = 4.0;
+            let eb = [
+                0.0,
+                f64::from_bits(1),
+                1e-310,
+                range * 1e-3,
+                range * 1e-6,
+                range * 10.0,
+                -range * 1e-3,
+            ][eb_pick];
+            let cap = [16, 100, 1024, 65_536][cap_pick];
+            let res = if wide {
+                every_level_matches_oracle(&Field::from_vec(shape, data), eb, cap)
+            } else {
+                let narrow = data.iter().map(|&x| x as f32).collect();
+                every_level_matches_oracle(&Field::from_vec(shape, narrow), eb, cap)
+            };
+            proptest::prop_assert!(res.is_ok(), "{:?} eb {:e} cap {}: {}", shape, eb, cap, res.unwrap_err());
+        }
+
+        #[test]
         fn class_count_price_is_the_code_scan_price(
-            len in 0usize..5_000,
+            len in 0usize..40_000,
             bins_log in 1u32..17,
             seed in proptest::prelude::any::<u64>(),
-            cut in 0usize..5_000,
+            cut in 0usize..40_000,
             wide in proptest::bool::ANY,
         ) {
             let mut s = seed | 1;
@@ -761,14 +1043,17 @@ mod tests {
             let bins = 1usize << bins_log;
             let sample_bits = if wide { 64.0 } else { 32.0 };
             let extra = [0.0, LZ_SLACK_BITS, LZ_SLACK_BITS + 128.0 / (len + 1) as f64][(seed % 3) as usize];
-            let mut counts = ClassCounts::default();
             let cut = cut.min(len);
-            counts.add(&codes[..cut], bins);
-            counts.add(&codes[cut..], bins);
-            proptest::prop_assert_eq!(
-                counts.price(sample_bits, extra).to_bits(),
-                candidate_bits_per_value(&codes, bins, sample_bits, extra).to_bits()
-            );
+            let want = candidate_bits_per_value(&codes, bins, sample_bits, extra).to_bits();
+            for level in SimdLevel::ALL {
+                simd::force(Some(level));
+                let mut counts = ClassCounts::default();
+                counts.add(&codes[..cut], bins);
+                counts.add(&codes[cut..], bins);
+                simd::force(None);
+                let got = counts.price(sample_bits, extra).to_bits();
+                proptest::prop_assert!(got == want, "{:?}: {got:x} vs {want:x}", level);
+            }
         }
 
         #[test]
@@ -844,35 +1129,52 @@ mod tests {
 
     #[test]
     fn challengers_stop_on_a_plane_and_counters_say_so() {
-        // A 200 × 300 plane: Lorenzo¹ codes it nearly all zeros, and each
-        // challenger's 0.5-bit handicap exceeds that price at its first
-        // checkpoint (13 rows, 3 900 samples).
+        // A 200 × 300 plane: Lorenzo¹ codes it nearly all zeros, so each
+        // challenger's 0.5-bit handicap alone exceeds that price, and no
+        // challenger walks (nor is Regression fitted).
         let shape = Shape::D2(200, 300);
         let data: Vec<f32> = (0..shape.len())
             .map(|lin| 0.25 * (lin / 300) as f32 - 0.125 * (lin % 300) as f32)
             .collect();
         let (sel, work) = bake_off(&data, shape, 1e-3, 1024);
         assert_eq!(sel.model, PredictorModel::Lorenzo1);
-        let step = (CHECKPOINT / 300) * 300;
         assert_eq!(
             work,
             BakeoffWork {
-                walked: (shape.len() + 3 * step) as u64,
-                pruned: 3,
+                walked: shape.len() as u64,
+                pruned: 0,
+                skipped: 3,
             }
+        );
+        // On noise at a coarse bound every challenger walks, and all three
+        // stop at a checkpoint (13 rows, 3 900 samples) part way through.
+        let noise = noisy(shape, 0).into_vec();
+        let (sel, pruned) = bake_off(&noise, shape, 1e-2, 1024);
+        assert_eq!(sel.model, PredictorModel::Lorenzo1);
+        let step = (CHECKPOINT / 300) * 300;
+        let challenged = pruned.walked - shape.len() as u64;
+        assert_eq!((pruned.pruned, pruned.skipped), (3, 0));
+        assert!(
+            challenged > 0
+                && challenged.is_multiple_of(step as u64)
+                && challenged < 3 * shape.len() as u64
         );
         fpsnr_obs::reset();
         fpsnr_obs::enable();
         let armed = fpsnr_obs::is_enabled(); // false when built with fpsnr-obs/off
-        let sel = model(&data, shape, PredictorKind::Auto, 1e-3, 1024);
+        model(&data, shape, PredictorKind::Auto, 1e-3, 1024);
+        model(&noise, shape, PredictorKind::Auto, 1e-2, 1024);
         fpsnr_obs::disable();
-        assert_eq!(sel.model, PredictorModel::Lorenzo1);
         if armed {
             // Other tests may select while the registry is armed, so the
             // counters are lower bounds here.
             let report = fpsnr_obs::snapshot();
-            assert!(report.counter("sz.select.pruned").unwrap_or(0) >= work.pruned);
-            assert!(report.counter("sz.select.walked_samples").unwrap_or(0) >= work.walked);
+            assert!(report.counter("sz.select.skipped").unwrap_or(0) >= work.skipped);
+            assert!(report.counter("sz.select.pruned").unwrap_or(0) >= pruned.pruned);
+            assert!(
+                report.counter("sz.select.walked_samples").unwrap_or(0)
+                    >= work.walked + pruned.walked
+            );
         }
     }
 

@@ -69,6 +69,19 @@ fn theorem1_identity_is_pointwise() {
 }
 
 #[test]
+fn probe_refuses_the_pointwise_relative_bound() {
+    // `compress` runs that bound on ln|x| through the log transform, so a
+    // probe of the raw samples would pair errors the container never made.
+    let nf = &generate(DatasetId::Atm, Resolution::Small, 32)[0]; // CLDHGH
+    let cfg = SzConfig::new(ErrorBound::PointwiseRel(1e-2));
+    assert!(sz::compress(&nf.data, &cfg).is_ok());
+    assert!(matches!(
+        sz::quantization_probe(&nf.data, &cfg),
+        Err(sz::SzError::BadBound(_))
+    ));
+}
+
+#[test]
 fn theorem1_holds_per_block_through_the_blocked_container() {
     // The blocked container runs an independent predictor walk per row
     // slab (sharing only the lossless-stage frequency table, which is
