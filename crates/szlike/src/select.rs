@@ -104,23 +104,30 @@ fn sampled_classes<T: Scalar>(field: &Field<T>, eb: f64, sink: impl FnMut(&[u8])
     }
 }
 
+/// The bit length of `x as u64` for `x ≥ 0`, read from the exponent.
+///
+/// The cast truncates and saturates, so it has bit length `e + 1` when
+/// `x ∈ [2^e, 2^(e+1))`, 0 below 1 and 64 from 2⁶⁴ on: the biased
+/// exponent minus 1022, clamped to 0..=64. ∞ and NaN (of either sign)
+/// carry the top exponent and give 64; so does any negative `x`.
+#[inline(always)]
+fn bit_length(x: f64) -> u8 {
+    ((x.to_bits() >> 52) as i32 - 1022).clamp(0, 64) as u8
+}
+
 /// The bit length of `round(|err| / scale)`, 64 when it is not finite.
 ///
-/// For `y = q + ROUND_MAGIC ≥ 0` the saturating cast `y as u64` (the walk's
-/// `round`) has bit length `e + 1` when `y ∈ [2^e, 2^(e+1))`, 0 below 1
-/// and 64 from 2⁶⁴ on, which is the biased exponent minus 1022, clamped.
-/// ∞ and NaN carry the top exponent and clamp to 64, like the uncovered
-/// non-finite errors. A negative `y` (only from a negative `eb`) casts to
-/// 0, so a finite error gets bit length 0 there; the sign bit sends a
-/// non-finite one to 64.
+/// `round` is the walk's saturating `(q + ROUND_MAGIC) as u64`, so non-
+/// finite errors land on 64 like the uncovered magnitudes they are. A
+/// negative `y` (only from a negative `eb`) casts to 0, so a finite error
+/// gets bit length 0 there.
 #[inline(always)]
 fn bit_length_class(err: f64, scale: f64) -> u8 {
     let y = err.abs() / scale + ROUND_MAGIC;
-    let class = ((y.to_bits() >> 52) as i32 - 1022).clamp(0, 64) as u8;
     if y < 0.0 && err.is_finite() {
         0
     } else {
-        class
+        bit_length(y)
     }
 }
 
@@ -525,19 +532,18 @@ const CLASS_BLOCK: usize = 16_384;
 /// Writes each code's price class to `out`: [`ESCAPE_CLASS`] for code 0
 /// and magnitudes `q = |code − bins/2|` above the grid's radius, else the
 /// bit length of `q`. The bit length is read from the exponent of `q`'s
-/// f64, which is exact for every i32, so the loop runs in i32 lanes:
-/// codes are below `bins` ≤ 2²⁴ (`SzConfig::validate`).
+/// f64 ([`bit_length`]), which is exact for every i32, so the loop runs in
+/// i32 lanes: codes are below `bins` ≤ 2²⁴ (`SzConfig::validate`).
 #[inline(always)]
 fn code_classes(codes: &[u32], bins: usize, out: &mut [u8]) {
     let radius = (bins / 2).saturating_sub(1).max(1) as i32;
     let centre = (bins / 2) as i32;
     for (class, &code) in out.iter_mut().zip(codes) {
         let q = (code as i32 - centre).abs();
-        let bits = (((q as f64).to_bits() >> 52) as i32 - 1022).max(0) as u8;
         *class = if code == 0 || q > radius {
             ESCAPE_CLASS as u8
         } else {
-            bits
+            bit_length(q as f64)
         };
     }
 }
