@@ -1,4 +1,6 @@
-//! Shared plumbing for the experiment binaries and Criterion benches.
+//! Shared plumbing for the experiment binaries (one per paper table or
+//! figure, plus the `hotloop` and `bakeoff` gate bins). Speed numbers come
+//! from the repository benchmark (`repobench/`), not from this crate.
 //!
 //! The paper-reproduction binaries honour three environment knobs so the
 //! whole evaluation can be re-run at different scales without recompiling:
@@ -42,11 +44,7 @@ pub fn threads_from_env() -> usize {
 }
 
 /// Generate a data set as `(name, field)` pairs ready for the batch runner.
-pub fn dataset_fields(
-    id: DatasetId,
-    res: Resolution,
-    seed: u64,
-) -> Vec<(String, Field<f32>)> {
+pub fn dataset_fields(id: DatasetId, res: Resolution, seed: u64) -> Vec<(String, Field<f32>)> {
     datagen::generate(id, res, seed)
         .into_iter()
         .map(|nf| (nf.name, nf.data))

@@ -24,8 +24,8 @@ use fpsnr_core::{
     FixedRatioOptions, SnapshotField,
 };
 use fpsnr_metrics::{Distortion, PointwiseError, RateStats};
-use ndfield::{io as fio, Field, Scalar, Shape};
 use fpsnr_transform::{transform_compress, transform_decompress, TransformConfig};
+use ndfield::{io as fio, Field, Scalar, Shape};
 use szlike::{format, ErrorBound, LosslessBackend, PredictorKind, SzConfig};
 
 fn main() {
@@ -229,6 +229,16 @@ fn compress_typed<T: Scalar>(args: &Args) -> Result<(), String> {
     if use_transform && predictor != PredictorKind::Lorenzo1 {
         return Err("--transform does not support --predictor".into());
     }
+    // The compressor knobs the fixed-PSNR and fixed-ratio modes share.
+    let psnr_opts = FixedPsnrOptions {
+        quant_bins: bins,
+        lossless,
+        threads,
+        block_rows,
+        chunk_dims,
+        predictor,
+        ..FixedPsnrOptions::default()
+    };
     let bytes = match mode {
         CliMode::Budget(budget) => {
             if use_transform {
@@ -262,20 +272,12 @@ fn compress_typed<T: Scalar>(args: &Args) -> Result<(), String> {
             if use_transform {
                 return Err("--transform does not support fixed-ratio mode".into());
             }
-            if chunk_dims != [0; 3] {
-                return Err("fixed-ratio mode does not support --chunks".into());
-            }
             let opts = FixedRatioOptions {
                 tolerance: tol,
-                quant_bins: bins,
-                lossless,
-                threads,
-                block_rows,
-                predictor,
+                compress: psnr_opts,
                 ..FixedRatioOptions::new(target)
             };
-            let run =
-                fpsnr_core::compress_fixed_ratio(&field, &opts).map_err(|e| e.to_string())?;
+            let run = fpsnr_core::compress_fixed_ratio(&field, &opts).map_err(|e| e.to_string())?;
             if !args.has("--quiet") {
                 println!(
                     "fixed-ratio: target {target}x -> eb_rel {:.4e}, achieved {:.2}x in {} pass(es){}",
@@ -296,16 +298,7 @@ fn compress_typed<T: Scalar>(args: &Args) -> Result<(), String> {
                 let cfg = TransformConfig::new(ErrorBound::ValueRangeRel(derived));
                 transform_compress(&field, &cfg).map_err(|e| e.to_string())?
             } else {
-                let opts = FixedPsnrOptions {
-                    quant_bins: bins,
-                    lossless,
-                    threads,
-                    block_rows,
-                    chunk_dims,
-                    predictor,
-                    ..FixedPsnrOptions::default()
-                };
-                fpsnr_core::fixed_psnr::compress_fixed_psnr_only(&field, target, &opts)
+                fpsnr_core::fixed_psnr::compress_fixed_psnr_only(&field, target, &psnr_opts)
                     .map_err(|e| e.to_string())?
             }
         }
@@ -398,13 +391,9 @@ fn parse_region(raw: &str) -> Result<szlike::Region, String> {
 /// `threads` feeds the block-parallel decoders (0 = auto).
 fn decode_any<T: ndfield::Scalar>(bytes: &[u8], threads: usize) -> Result<Field<T>, String> {
     match bytes.get(..4) {
-        Some(b"SZR1") => {
-            szlike::decompress_with_threads(bytes, threads).map_err(|e| e.to_string())
-        }
+        Some(b"SZR1") => szlike::decompress_with_threads(bytes, threads).map_err(|e| e.to_string()),
         Some(b"XFM1") => transform_decompress(bytes).map_err(|e| e.to_string()),
-        Some(b"XEC1") => {
-            fpsnr_transform::embedded_decompress(bytes).map_err(|e| e.to_string())
-        }
+        Some(b"XEC1") => fpsnr_transform::embedded_decompress(bytes).map_err(|e| e.to_string()),
         _ => Err("unrecognised container magic".to_string()),
     }
 }
@@ -426,11 +415,19 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
     if is_f64 {
         let field: Field<f64> = decode_any(&bytes, threads)?;
         fio::write_raw(&field, out).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("decompressed {} f64 samples ({})", field.len(), field.shape());
+        println!(
+            "decompressed {} f64 samples ({})",
+            field.len(),
+            field.shape()
+        );
     } else {
         let field: Field<f32> = decode_any(&bytes, threads)?;
         fio::write_raw(&field, out).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("decompressed {} f32 samples ({})", field.len(), field.shape());
+        println!(
+            "decompressed {} f32 samples ({})",
+            field.len(),
+            field.shape()
+        );
     }
     Ok(())
 }
@@ -455,7 +452,11 @@ fn partial_report(bytes: &[u8], threads: usize) -> Result<szlike::DamageReport, 
 fn print_report(report: &szlike::DamageReport) {
     println!(
         "container CRC     {}",
-        if report.container_crc_ok { "ok" } else { "MISMATCH" }
+        if report.container_crc_ok {
+            "ok"
+        } else {
+            "MISMATCH"
+        }
     );
     println!("blocks            {}", report.n_blocks);
     println!("recovered samples {}", report.recovered_samples);
@@ -646,8 +647,8 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
 fn analyze_typed<T: Scalar>(args: &Args) -> Result<(), String> {
     let (orig, shape) = read_field_arg::<T>(args, "--input")?;
     let recon_path = args.require("--recon")?;
-    let recon = fio::read_raw::<T>(shape, recon_path)
-        .map_err(|e| format!("reading {recon_path}: {e}"))?;
+    let recon =
+        fio::read_raw::<T>(shape, recon_path).map_err(|e| format!("reading {recon_path}: {e}"))?;
     let d = Distortion::between(&orig, &recon);
     let p = PointwiseError::between(&orig, &recon);
     println!("shape            {shape}");
@@ -732,10 +733,15 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         &FixedPsnrOptions::default(),
         threads,
     );
-    println!("# {} @ {target} dB (Eq. 7 predicts PSNR = target by construction)", id.name());
-    println!("# estimate check: eb_rel {:.4e} -> predicted {:.2} dB",
+    println!(
+        "# {} @ {target} dB (Eq. 7 predicts PSNR = target by construction)",
+        id.name()
+    );
+    println!(
+        "# estimate check: eb_rel {:.4e} -> predicted {:.2} dB",
         ebrel_for_psnr(target),
-        psnr_sz_estimate(1.0, ebrel_for_psnr(target)));
+        psnr_sz_estimate(1.0, ebrel_for_psnr(target))
+    );
     if !args.has("--quiet") {
         println!("{}", fpsnr_core::report::outcomes_csv(&outcomes));
     }
@@ -795,8 +801,7 @@ fn cmd_snapshot(args: &Args) -> Result<(), String> {
             if args.get("--dataset").is_some() {
                 return Err("--manifest replaces --dataset; give one or the other".into());
             }
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let base = std::path::Path::new(path)
                 .parent()
                 .map(|p| p.to_path_buf())
@@ -913,8 +918,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let store = serve::AnyStore::open(bytes, parse_store_options(args)?)?;
     let dims = store.dims();
     let addr = args.get("--addr").unwrap_or("127.0.0.1:0");
-    let listener =
-        std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     println!(
         "serving {input} ({}) on {local}",

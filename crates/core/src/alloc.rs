@@ -94,9 +94,9 @@ impl AnyField {
     }
 
     fn pilot(&self, opts: &FixedPsnrOptions) -> Result<RateModel, SzError> {
-        // The pilot ignores the bound; 60 dB is only a placeholder to
+        // The pilot ignores the bound; 1e-3 is only a placeholder to
         // materialize the config.
-        let cfg = opts.sz_config(60.0);
+        let cfg = opts.sz_config(1e-3);
         match self {
             AnyField::F32(f) => RateModel::pilot(f, &cfg),
             AnyField::F64(f) => RateModel::pilot(f, &cfg),
@@ -598,9 +598,7 @@ pub fn allocate_snapshot(
             .map(|(k, c)| {
                 let predicted = c.bytes_at(assign[k]);
                 let gain = match &passes[k].bytes {
-                    Some(b) if predicted > 0.0 => {
-                        (b.len() as f64 / predicted).clamp(0.25, 4.0)
-                    }
+                    Some(b) if predicted > 0.0 => (b.len() as f64 / predicted).clamp(0.25, 4.0),
                     _ => 1.0,
                 };
                 c.scaled(gain)
@@ -726,10 +724,12 @@ mod tests {
         fields
             .iter()
             .map(|f| {
-                f.data
-                    .pilot(&opts.compress)
-                    .unwrap()
-                    .curve(opts.psnr_lo, opts.psnr_step, opts.psnr_points, 1.0)
+                f.data.pilot(&opts.compress).unwrap().curve(
+                    opts.psnr_lo,
+                    opts.psnr_step,
+                    opts.psnr_points,
+                    1.0,
+                )
             })
             .collect()
     }
@@ -744,7 +744,10 @@ mod tests {
             let j = solve_min_psnr(&curves, budget);
             assert!(j >= prev, "budget {budget}: index {j} < previous {prev}");
             let total: f64 = curves.iter().map(|c| c.bytes_at(j)).sum();
-            assert!(j == 0 || total <= budget, "budget {budget} overspent: {total}");
+            assert!(
+                j == 0 || total <= budget,
+                "budget {budget} overspent: {total}"
+            );
             grew |= j > prev;
             prev = j;
         }
@@ -763,10 +766,18 @@ mod tests {
             .enumerate()
             .map(|(f, &j)| curves[f].bytes_at(j))
             .sum();
-        assert!(total <= budget, "even weights overspent: {total} > {budget}");
+        assert!(
+            total <= budget,
+            "even weights overspent: {total} > {budget}"
+        );
         // Pushing all the weight onto field 0 must not lower its quality.
-        let skew =
-            solve_weighted_mse(&curves, &[1e4, 1.0, 1.0, 1.0], opts.psnr_lo, opts.psnr_step, budget);
+        let skew = solve_weighted_mse(
+            &curves,
+            &[1e4, 1.0, 1.0, 1.0],
+            opts.psnr_lo,
+            opts.psnr_step,
+            budget,
+        );
         assert!(
             skew[0] >= even[0],
             "upweighting field 0 lowered it: {} -> {}",

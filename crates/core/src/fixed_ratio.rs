@@ -25,9 +25,10 @@
 //! model residual) so the accuracy harness can assert the pass budget and
 //! EXPERIMENTS.md can report one-shot hit rates.
 
+use crate::fixed_psnr::FixedPsnrOptions;
 use ndfield::{Field, Scalar};
 use szlike::ratemodel::RateModel;
-use szlike::{compress, ErrorBound, LosslessBackend, PredictorKind, SzConfig, SzError};
+use szlike::{compress, SzError};
 
 /// Maximum *total* compression passes (the pilot walk is not one — it
 /// never entropy-codes): one model-driven pass plus at most two secant
@@ -42,21 +43,12 @@ pub struct FixedRatioOptions {
     /// Relative tolerance band: the run stops as soon as the measured
     /// ratio is within `target · (1 ± tolerance)`. Default 0.1.
     pub tolerance: f64,
-    /// Quantization-bin cap, as [`crate::fixed_psnr::FixedPsnrOptions`].
-    pub quant_bins: usize,
-    /// SZ 1.4 adaptive interval selection (default on, stock-SZ fidelity).
-    pub auto_intervals: bool,
-    /// Lossless backend for the final stage.
-    pub lossless: LosslessBackend,
-    /// Worker threads (0 = auto, 1 = monolithic); container bytes never
-    /// depend on this value.
-    pub threads: usize,
-    /// Rows per block for the blocked path (0 = auto).
-    pub block_rows: usize,
-    /// Predictor selection (forwarded to [`SzConfig::predictor`]); the
-    /// pilot's rate model runs under the same predictor so its bits/value
-    /// curve matches what the real passes compress with.
-    pub predictor: PredictorKind,
+    /// Compressor knobs shared by the pilot and every pass — the same set
+    /// the fixed-PSNR driver takes. The pilot's rate model runs under the
+    /// same predictor, so its bits/value curve matches what the real
+    /// passes compress with. Fixed-ratio runs write slab or monolithic
+    /// containers only: a nonzero `chunk_dims` is refused.
+    pub compress: FixedPsnrOptions,
 }
 
 impl FixedRatioOptions {
@@ -66,23 +58,8 @@ impl FixedRatioOptions {
         FixedRatioOptions {
             target_ratio,
             tolerance: 0.1,
-            quant_bins: 65536,
-            auto_intervals: true,
-            lossless: LosslessBackend::Lz,
-            threads: 1,
-            block_rows: 0,
-            predictor: PredictorKind::Lorenzo1,
+            compress: FixedPsnrOptions::default(),
         }
-    }
-
-    fn sz_config(&self, ebrel: f64) -> SzConfig {
-        SzConfig::new(ErrorBound::ValueRangeRel(ebrel))
-            .with_quant_bins(self.quant_bins)
-            .with_auto_intervals(self.auto_intervals)
-            .with_lossless(self.lossless)
-            .with_threads(self.threads)
-            .with_block_rows(self.block_rows)
-            .with_predictor(self.predictor)
     }
 
     fn validate(&self) -> Result<(), SzError> {
@@ -97,6 +74,11 @@ impl FixedRatioOptions {
                 "ratio tolerance must be finite and positive, got {}",
                 self.tolerance
             )));
+        }
+        if self.compress.chunk_dims != [0; 3] {
+            return Err(SzError::BadConfig(
+                "fixed-ratio mode does not support chunk_dims".into(),
+            ));
         }
         Ok(())
     }
@@ -161,22 +143,21 @@ fn innermost_bracket(
     pts: &[(f64, f64)],
     ln_target: f64,
 ) -> (Option<(f64, f64)>, Option<(f64, f64)>) {
-    let lo = pts
-        .iter()
-        .filter(|p| p.1 < ln_target)
-        .copied()
-        .fold(None, |acc: Option<(f64, f64)>, p| match acc {
-            Some(a) if a.0 >= p.0 => Some(a),
-            _ => Some(p),
-        });
-    let hi = pts
-        .iter()
-        .filter(|p| p.1 >= ln_target)
-        .copied()
-        .fold(None, |acc: Option<(f64, f64)>, p| match acc {
+    let lo =
+        pts.iter()
+            .filter(|p| p.1 < ln_target)
+            .copied()
+            .fold(None, |acc: Option<(f64, f64)>, p| match acc {
+                Some(a) if a.0 >= p.0 => Some(a),
+                _ => Some(p),
+            });
+    let hi = pts.iter().filter(|p| p.1 >= ln_target).copied().fold(
+        None,
+        |acc: Option<(f64, f64)>, p| match acc {
             Some(a) if a.0 <= p.0 => Some(a),
             _ => Some(p),
-        });
+        },
+    );
     (lo, hi)
 }
 
@@ -198,7 +179,7 @@ pub fn compress_fixed_ratio<T: Scalar>(
     if !vr.is_finite() || vr <= 0.0 {
         // Constant (or non-finite-range) field: the container size does
         // not depend on the bound, so one pass is the complete answer.
-        let bytes = compress(field, &opts.sz_config(1e-3))?;
+        let bytes = compress(field, &opts.compress.sz_config(1e-3))?;
         if fpsnr_obs::is_enabled() {
             fpsnr_obs::add("fratio.compress_passes", 1);
         }
@@ -217,7 +198,7 @@ pub fn compress_fixed_ratio<T: Scalar>(
         });
     }
     let pilot_span = fpsnr_obs::span("fratio.pilot");
-    let model = RateModel::pilot(field, &opts.sz_config(1e-3))?;
+    let model = RateModel::pilot(field, &opts.compress.sz_config(1e-3))?;
     drop(pilot_span);
     if fpsnr_obs::is_enabled() {
         fpsnr_obs::add("fratio.pilot_passes", 1);
@@ -238,12 +219,17 @@ pub fn compress_fixed_ratio<T: Scalar>(
         let predicted = model.predict_bits_per_value(eb_abs, gain);
         passes += 1;
         let ebrel = eb_abs / vr;
-        let bytes = compress(field, &opts.sz_config(ebrel))?;
+        let bytes = compress(field, &opts.compress.sz_config(ebrel))?;
         let achieved = ratio_of(bytes.len());
         let achieved_bpv = sample_bits / achieved;
         if fpsnr_obs::is_enabled() {
             fpsnr_obs::add("fratio.compress_passes", 1);
-            fpsnr_obs::add_labeled(passes, "fratio.pass", "predicted_bpv_milli", milli(predicted));
+            fpsnr_obs::add_labeled(
+                passes,
+                "fratio.pass",
+                "predicted_bpv_milli",
+                milli(predicted),
+            );
             fpsnr_obs::add_labeled(
                 passes,
                 "fratio.pass",
@@ -385,14 +371,17 @@ mod tests {
     fn hits_targets_within_tolerance_and_pass_budget() {
         let field = textured(128, 160);
         for target in [4.0, 8.0, 16.0, 32.0] {
-            let run =
-                compress_fixed_ratio(&field, &FixedRatioOptions::new(target)).unwrap();
+            let run = compress_fixed_ratio(&field, &FixedRatioOptions::new(target)).unwrap();
             assert!(
                 run.within_tolerance,
                 "target {target}x: achieved {:.2}x in {} passes",
                 run.achieved_ratio, run.passes
             );
-            assert!(run.passes <= 3, "target {target}x took {} passes", run.passes);
+            assert!(
+                run.passes <= 3,
+                "target {target}x took {} passes",
+                run.passes
+            );
             let back: Field<f32> = decompress(&run.bytes).unwrap();
             assert_eq!(back.shape(), field.shape());
         }
@@ -404,7 +393,7 @@ mod tests {
         let run = compress_fixed_ratio(&field, &FixedRatioOptions::new(10.0)).unwrap();
         let direct = compress(
             &field,
-            &FixedRatioOptions::new(10.0).sz_config(run.eb_rel),
+            &FixedRatioOptions::new(10.0).compress.sz_config(run.eb_rel),
         )
         .unwrap();
         assert_eq!(direct, run.bytes);
@@ -414,14 +403,24 @@ mod tests {
     fn blocked_and_monolithic_both_hit_and_threads_leave_bytes_alone() {
         let field = textured(120, 100);
         let blocked = FixedRatioOptions {
-            threads: 2,
-            block_rows: 30,
+            compress: FixedPsnrOptions {
+                threads: 2,
+                block_rows: 30,
+                ..FixedPsnrOptions::default()
+            },
             ..FixedRatioOptions::new(12.0)
         };
         let run_b = compress_fixed_ratio(&field, &blocked).unwrap();
-        assert!(run_b.within_tolerance, "blocked achieved {:.2}x", run_b.achieved_ratio);
+        assert!(
+            run_b.within_tolerance,
+            "blocked achieved {:.2}x",
+            run_b.achieved_ratio
+        );
         let more_threads = FixedRatioOptions {
-            threads: 4,
+            compress: FixedPsnrOptions {
+                threads: 4,
+                ..blocked.compress
+            },
             ..blocked
         };
         let run_t = compress_fixed_ratio(&field, &more_threads).unwrap();
@@ -461,8 +460,18 @@ mod tests {
                 tolerance: 0.0,
                 ..FixedRatioOptions::new(8.0)
             },
+            FixedRatioOptions {
+                compress: FixedPsnrOptions {
+                    chunk_dims: [16, 16, 0],
+                    ..FixedPsnrOptions::default()
+                },
+                ..FixedRatioOptions::new(8.0)
+            },
         ] {
-            assert!(compress_fixed_ratio(&field, &bad).is_err(), "{bad:?} accepted");
+            assert!(
+                compress_fixed_ratio(&field, &bad).is_err(),
+                "{bad:?} accepted"
+            );
         }
     }
 }

@@ -14,6 +14,7 @@
 //!   cheapest correct strategy.
 
 use crate::bound::ebrel_for_psnr;
+use crate::fixed_psnr::FixedPsnrOptions;
 use crate::fixed_ratio::{compress_fixed_ratio, FixedRatioOptions};
 use ndfield::{Field, Scalar};
 use szlike::{compress, ErrorBound, SzConfig, SzError};
@@ -105,20 +106,21 @@ pub fn compress_with_mode<T: Scalar>(
         }
         CompressionMode::FixedRatio(target) => {
             let defaults = SzConfig::new(base.bound);
-            if (base.chunk_dims, base.escape, base.entropy)
-                != (defaults.chunk_dims, defaults.escape, defaults.entropy)
-            {
+            if (base.escape, base.entropy) != (defaults.escape, defaults.entropy) {
                 return Err(SzError::BadConfig(
-                    "fixed-ratio mode does not support chunk_dims, escape or entropy".into(),
+                    "fixed-ratio mode does not support escape or entropy".into(),
                 ));
             }
             let opts = FixedRatioOptions {
-                quant_bins: base.quant_bins,
-                auto_intervals: base.auto_intervals,
-                lossless: base.lossless,
-                threads: base.threads,
-                block_rows: base.block_rows,
-                predictor: base.predictor,
+                compress: FixedPsnrOptions {
+                    quant_bins: base.quant_bins,
+                    auto_intervals: base.auto_intervals,
+                    lossless: base.lossless,
+                    threads: base.threads,
+                    block_rows: base.block_rows,
+                    chunk_dims: base.chunk_dims,
+                    predictor: base.predictor,
+                },
                 ..FixedRatioOptions::new(target)
             };
             let run = compress_fixed_ratio(field, &opts)?;
@@ -266,7 +268,10 @@ mod tests {
             let (bytes, _) =
                 compress_with_mode(&f, CompressionMode::FixedRatio(8.0), &base).unwrap();
             let direct = FixedRatioOptions {
-                predictor: kind,
+                compress: FixedPsnrOptions {
+                    predictor: kind,
+                    ..FixedPsnrOptions::default()
+                },
                 ..FixedRatioOptions::new(8.0)
             };
             let direct = compress_fixed_ratio(&f, &direct).unwrap().bytes;

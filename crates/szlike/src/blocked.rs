@@ -90,7 +90,7 @@ pub(crate) fn use_blocked(cfg: &SzConfig) -> bool {
 /// default, or a multi-dimensional chunk grid (v4) when the config asks
 /// for one. Depends only on the shape and the config — never on the
 /// thread count (determinism).
-fn resolve_partition(shape: Shape, cfg: &SzConfig) -> Result<(u8, ChunkGrid), SzError> {
+pub(crate) fn resolve_partition(shape: Shape, cfg: &SzConfig) -> Result<(u8, ChunkGrid), SzError> {
     if cfg.chunk_dims == [0; 3] {
         let block_rows = resolve_block_rows(shape, cfg.block_rows);
         Ok((BLOCKED_VERSION, ChunkGrid::slab(shape, block_rows)))
@@ -102,7 +102,7 @@ fn resolve_partition(shape: Shape, cfg: &SzConfig) -> Result<(u8, ChunkGrid), Sz
 
 /// Resolve the rows-per-block knob. Depends only on the shape and the
 /// configured `block_rows` — never on the thread count (determinism).
-pub(crate) fn resolve_block_rows(shape: Shape, requested: usize) -> usize {
+fn resolve_block_rows(shape: Shape, requested: usize) -> usize {
     let rows = shape.dims()[0];
     if requested > 0 {
         return requested.min(rows);
@@ -117,32 +117,6 @@ fn resolve_threads(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// Shape and sample count of block `b`.
-fn block_shape(shape: Shape, block_rows: usize, b: usize) -> (Shape, usize) {
-    let rows = shape.dims()[0];
-    let r0 = b * block_rows;
-    let nr = block_rows.min(rows - r0);
-    let bshape = match shape {
-        Shape::D1(_) => Shape::D1(nr),
-        Shape::D2(_, c) => Shape::D2(nr, c),
-        Shape::D3(_, d1, d2) => Shape::D3(nr, d1, d2),
-    };
-    let n = bshape.len();
-    (bshape, n)
-}
-
-/// The contiguous sample range of block `b` (row-major, slowest dim split).
-pub(crate) fn block_range(
-    shape: Shape,
-    block_rows: usize,
-    b: usize,
-) -> (std::ops::Range<usize>, Shape) {
-    let per_row = shape.len() / shape.dims()[0];
-    let (bshape, bn) = block_shape(shape, block_rows, b);
-    let start = b * block_rows * per_row;
-    (start..start + bn, bshape)
 }
 
 /// One block's serialized section (entropy stream + escape payload; the
@@ -263,7 +237,11 @@ pub(crate) fn compress_blocked<T: Scalar>(
 
     let shape = field.shape();
     let (version, grid) = resolve_partition(shape, cfg)?;
-    let version = if per_block { BLOCKED_VERSION_MIXED } else { version };
+    let version = if per_block {
+        BLOCKED_VERSION_MIXED
+    } else {
+        version
+    };
     let n_blocks = grid.n_blocks();
     let threads = resolve_threads(cfg.threads);
 
@@ -329,8 +307,7 @@ pub(crate) fn compress_blocked<T: Scalar>(
     // redundancy, but it is what makes each block independently
     // verifiable and recoverable: a bit flip in one payload can no longer
     // poison the inflation of every block behind it.
-    let body_bytes =
-        table_len + blocks.iter().map(|b| b.payload.len()).sum::<usize>();
+    let body_bytes = table_len + blocks.iter().map(|b| b.payload.len()).sum::<usize>();
     let lossless_span = fpsnr_obs::span("sz.lossless");
     let table_packed: Option<(u8, Vec<u8>)> = if cfg.entropy == EntropyCoder::Huffman {
         let mut tsec = Vec::with_capacity(table_len + 10);
@@ -1029,8 +1006,7 @@ mod tests {
         // near-parity claim. The auto partition (>= 32 Ki samples/block)
         // is checked separately below at a much tighter bound.
         let field = Field::from_fn_3d(48, 48, 48, |i, j, k| {
-            ((i as f32) * 0.05).sin() * ((j as f32) * 0.07).cos()
-                + ((k as f32) * 0.03).sin() * 2.0
+            ((i as f32) * 0.05).sin() * ((j as f32) * 0.07).cos() + ((k as f32) * 0.03).sin() * 2.0
         });
         let mono = SzConfig::new(ErrorBound::ValueRangeRel(1e-4));
         let blk = mono.with_threads(4).with_block_rows(6);
@@ -1052,8 +1028,7 @@ mod tests {
         // redundancy this synthetic separable field is unusually rich in;
         // it is the price of independently recoverable blocks.
         let field = Field::from_fn_3d(48, 48, 48, |i, j, k| {
-            ((i as f32) * 0.05).sin() * ((j as f32) * 0.07).cos()
-                + ((k as f32) * 0.03).sin() * 2.0
+            ((i as f32) * 0.05).sin() * ((j as f32) * 0.07).cos() + ((k as f32) * 0.03).sin() * 2.0
         });
         let mono = SzConfig::new(ErrorBound::ValueRangeRel(1e-4));
         let blk = mono.with_threads(4);

@@ -38,7 +38,7 @@ use std::collections::HashMap;
 
 use ndfield::{Field, Scalar};
 
-use crate::blocked::{block_range, resolve_block_rows, use_blocked};
+use crate::blocked::{resolve_partition, use_blocked};
 use crate::config::{LosslessBackend, SzConfig};
 use crate::error::SzError;
 use crate::kernels::walk_fused;
@@ -112,7 +112,7 @@ impl RateModel {
     ///
     /// `cfg.bound` is ignored — the pilot picks its own reference bound;
     /// every other knob (bins, predictor, escape coding, lossless,
-    /// threads/block_rows) describes the pipeline being modeled.
+    /// threads/block_rows/chunk_dims) describes the pipeline being modeled.
     ///
     /// # Errors
     /// [`SzError::BadBound`] for constant or non-finite-range fields (the
@@ -145,24 +145,28 @@ impl RateModel {
             }
         };
         let n_blocks = if use_blocked(cfg) {
-            let block_rows = resolve_block_rows(shape, cfg.block_rows);
-            let blocks = shape.dims()[0].div_ceil(block_rows);
-            for b in 0..blocks {
-                let (range, bshape) = block_range(shape, block_rows, b);
+            // The compressor's own partition, read the way its walk phase
+            // reads it: slabs in place, grid blocks gathered.
+            let (_, grid) = resolve_partition(shape, cfg)?;
+            let mut gathered = Vec::new();
+            for b in 0..grid.n_blocks() {
+                let samples: &[T] = if grid.is_slab() {
+                    &data[grid.covering_range(b)]
+                } else {
+                    grid.gather(data, b, &mut gathered);
+                    &gathered
+                };
+                let bshape = grid.block_shape(b);
                 let walk = walk_fused(
-                    &data[range],
-                    bshape,
-                    eb_ref,
-                    PILOT_BINS,
-                    model,
-                    cfg.escape,
-                    &mut recon,
+                    samples, bshape, eb_ref, PILOT_BINS, model, cfg.escape, &mut recon,
                 );
                 tally(&walk.codes);
             }
-            blocks
+            grid.n_blocks()
         } else {
-            let walk = walk_fused(data, shape, eb_ref, PILOT_BINS, model, cfg.escape, &mut recon);
+            let walk = walk_fused(
+                data, shape, eb_ref, PILOT_BINS, model, cfg.escape, &mut recon,
+            );
             tally(&walk.codes);
             1
         };
@@ -247,15 +251,13 @@ impl RateModel {
                 precision_escapes += c;
             }
         }
-        let esc_frac =
-            (((rebin_escapes + precision_escapes) as f64) / n).min(1.0);
+        let esc_frac = (((rebin_escapes + precision_escapes) as f64) / n).min(1.0);
         // Mixture entropy: escape symbol with mass e, code j with mass
         // (1−e)·qⱼ ⇒ H = −e·log e − (1−e)·log(1−e) + (1−e)·H(q).
         let hist_total: u64 = merged.iter().sum();
         let mut h = 0.0;
         if esc_frac > 0.0 && esc_frac < 1.0 {
-            h -= esc_frac * esc_frac.log2()
-                + (1.0 - esc_frac) * (1.0 - esc_frac).log2();
+            h -= esc_frac * esc_frac.log2() + (1.0 - esc_frac) * (1.0 - esc_frac).log2();
         }
         if hist_total > 0 && esc_frac < 1.0 {
             let total = hist_total as f64;
@@ -282,9 +284,8 @@ impl RateModel {
             // noise), hence the live-fraction scaling.
             let live_frac = self.pilot_live as f64 / n;
             let range_octaves = (self.value_range / (2.0 * eb_abs)).log2().max(0.0);
-            let floor = (NOISE_FLOOR_BITS_PER_OCTAVE * range_octaves)
-                .min(NOISE_FLOOR_CAP_BITS)
-                * live_frac;
+            let floor =
+                (NOISE_FLOOR_BITS_PER_OCTAVE * range_octaves).min(NOISE_FLOOR_CAP_BITS) * live_frac;
             h += (1.0 - esc_frac) * hq.max(floor);
         }
         let mut payload = h + esc_frac * self.sample_bits;
@@ -465,8 +466,10 @@ impl RateCurve {
 mod tests {
     use super::*;
     use crate::config::ErrorBound;
+    use crate::grid::ChunkGrid;
     use crate::{compress, SzConfig};
     use ndfield::Shape;
+    use std::collections::BTreeMap;
 
     fn textured(rows: usize, cols: usize) -> Field<f32> {
         Field::from_fn_2d(rows, cols, |i, j| {
@@ -506,8 +509,7 @@ mod tests {
         let vr = model.value_range();
         for rel in [1e-4, 1e-3, 1e-2] {
             let predicted = model.predict_bits_per_value(rel * vr, 1.0);
-            let bytes =
-                compress(&f, &SzConfig::new(ErrorBound::ValueRangeRel(rel))).unwrap();
+            let bytes = compress(&f, &SzConfig::new(ErrorBound::ValueRangeRel(rel))).unwrap();
             let actual = bytes.len() as f64 * 8.0 / f.len() as f64;
             let err = predicted / actual;
             assert!(
@@ -536,11 +538,7 @@ mod tests {
     fn blocked_pilot_merges_per_block_histograms() {
         let f = textured(64, 96);
         let mono = RateModel::pilot(&f, &cfg()).unwrap();
-        let blocked = RateModel::pilot(
-            &f,
-            &cfg().with_threads(2).with_block_rows(16),
-        )
-        .unwrap();
+        let blocked = RateModel::pilot(&f, &cfg().with_threads(2).with_block_rows(16)).unwrap();
         assert_eq!(blocked.n_blocks, 4);
         assert_eq!(mono.n, blocked.n);
         // Same data, same reference bound: the merged histogram mass must
@@ -548,7 +546,47 @@ mod tests {
         // first-row predictions).
         let mono_mass: u64 = mono.mags.iter().map(|&(_, c)| c).sum();
         let blk_mass: u64 = blocked.mags.iter().map(|&(_, c)| c).sum();
-        assert_eq!(mono_mass + mono.pilot_escapes, blk_mass + blocked.pilot_escapes);
+        assert_eq!(
+            mono_mass + mono.pilot_escapes,
+            blk_mass + blocked.pilot_escapes
+        );
+    }
+
+    #[test]
+    fn chunked_pilot_walks_the_compressors_grid() {
+        let f = Field::from_fn_3d(48, 48, 48, |i, j, k| {
+            let (x, y, z) = (i as f32 * 0.21, j as f32 * 0.17, k as f32 * 0.13);
+            5.0 * (x.sin() + (y * 0.7).cos() + (z * 1.3).sin()) + (x * y * 0.4).cos()
+        });
+        let shape = f.shape();
+        let chunks = [16, 16, 16];
+        let model = RateModel::pilot(&f, &cfg().with_chunk_dims(chunks)).unwrap();
+        // Oracle: one walk per chunk-grid block over its gathered samples,
+        // under the whole-field model at the reference bound.
+        let grid = ChunkGrid::from_chunk_dims(shape, &chunks).unwrap();
+        let eb_ref = f.value_range() * EB_REF_REL;
+        let data = f.as_slice();
+        let kind = crate::select::model(data, shape, cfg().predictor, eb_ref, PILOT_BINS).model;
+        let radius = (PILOT_BINS / 2) as i64;
+        let mut mags: BTreeMap<i64, u64> = BTreeMap::new();
+        let (mut gathered, mut recon) = (Vec::new(), Vec::new());
+        for b in 0..grid.n_blocks() {
+            grid.gather(data, b, &mut gathered);
+            let walk = walk_fused(
+                &gathered,
+                grid.block_shape(b),
+                eb_ref,
+                PILOT_BINS,
+                kind,
+                cfg().escape,
+                &mut recon,
+            );
+            for &code in walk.codes.iter().filter(|&&c| c != 0) {
+                *mags.entry(code as i64 - radius).or_insert(0) += 1;
+            }
+        }
+        assert_eq!(model.n_blocks, 27);
+        assert_eq!(model.mags, mags.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -84,45 +84,18 @@ impl TransformConfig {
     }
 }
 
-/// Crate-internal re-exports for the embedded codec (same block plumbing).
-pub(crate) use block_helpers::*;
-mod block_helpers {
-    use super::*;
-
-    pub(crate) fn for_each_block_pub(grid: &[usize], f: impl FnMut(&[usize])) {
-        for_each_block(grid, f)
-    }
-    pub(crate) fn gather_block_pub<T: Scalar>(
-        field: &Field<T>,
-        origin: &[usize],
-        b: usize,
-        buf: &mut [f64],
-    ) {
-        gather_block(field, origin, b, buf)
-    }
-    pub(crate) fn scatter_block_pub<T: Scalar>(
-        field: &mut Field<T>,
-        origin: &[usize],
-        b: usize,
-        buf: &[f64],
-    ) {
-        scatter_block(field, origin, b, buf)
-    }
-    pub(crate) fn forward_block_pub(basis: &Basis, buf: &mut [f64], rank: usize) {
-        forward_block(basis, buf, rank)
-    }
-    pub(crate) fn inverse_block_pub(basis: &Basis, buf: &mut [f64], rank: usize) {
-        inverse_block(basis, buf, rank)
-    }
-}
-
 /// Per-axis block counts (ceil division).
 fn block_grid(shape: Shape, b: usize) -> Vec<usize> {
     shape.dims().iter().map(|&d| d.div_ceil(b)).collect()
 }
 
 /// Gather one (edge-replicated) block into `buf` as f64.
-fn gather_block<T: Scalar>(field: &Field<T>, origin: &[usize], b: usize, buf: &mut [f64]) {
+pub(crate) fn gather_block<T: Scalar>(
+    field: &Field<T>,
+    origin: &[usize],
+    b: usize,
+    buf: &mut [f64],
+) {
     match field.shape() {
         Shape::D1(n) => {
             for x in 0..b {
@@ -156,7 +129,12 @@ fn gather_block<T: Scalar>(field: &Field<T>, origin: &[usize], b: usize, buf: &m
 }
 
 /// Scatter a decoded block back into the field, clipping the padding.
-fn scatter_block<T: Scalar>(field: &mut Field<T>, origin: &[usize], b: usize, buf: &[f64]) {
+pub(crate) fn scatter_block<T: Scalar>(
+    field: &mut Field<T>,
+    origin: &[usize],
+    b: usize,
+    buf: &[f64],
+) {
     match field.shape() {
         Shape::D1(n) => {
             for x in 0..b {
@@ -205,7 +183,7 @@ fn scatter_block<T: Scalar>(field: &mut Field<T>, origin: &[usize], b: usize, bu
 }
 
 /// Separable forward transform of a `b^rank` block in place.
-fn forward_block(basis: &Basis, buf: &mut [f64], rank: usize) {
+pub(crate) fn forward_block(basis: &Basis, buf: &mut [f64], rank: usize) {
     let b = basis.size();
     match rank {
         1 => basis.forward_strided(buf, 0, 1),
@@ -239,7 +217,7 @@ fn forward_block(basis: &Basis, buf: &mut [f64], rank: usize) {
 }
 
 /// Separable inverse transform of a `b^rank` block in place.
-fn inverse_block(basis: &Basis, buf: &mut [f64], rank: usize) {
+pub(crate) fn inverse_block(basis: &Basis, buf: &mut [f64], rank: usize) {
     let b = basis.size();
     match rank {
         1 => basis.inverse_strided(buf, 0, 1),
@@ -273,7 +251,7 @@ fn inverse_block(basis: &Basis, buf: &mut [f64], rank: usize) {
 }
 
 /// Iterate block origins in row-major order.
-fn for_each_block(grid: &[usize], mut f: impl FnMut(&[usize])) {
+pub(crate) fn for_each_block(grid: &[usize], mut f: impl FnMut(&[usize])) {
     match grid.len() {
         1 => {
             for i in 0..grid[0] {
@@ -478,8 +456,7 @@ pub fn transform_decompress<T: Scalar>(src: &[u8]) -> Result<Field<T>, SzError> 
     if block != 4 && block != 8 {
         return Err(SzError::Format("bad block size"));
     }
-    let basis_kind =
-        BasisKind::from_tag(src[pos]).ok_or(SzError::Format("unknown basis tag"))?;
+    let basis_kind = BasisKind::from_tag(src[pos]).ok_or(SzError::Format("unknown basis tag"))?;
     pos += 1;
     let eb = f64::from_le_bytes(src[pos..pos + 8].try_into().expect("8 bytes"));
     pos += 8;
@@ -826,8 +803,7 @@ mod tests {
     fn theorem2_holds_for_haar_too() {
         // Theorem 2's premise is orthonormality, not any particular basis.
         let field = textured(64, 64);
-        let cfg =
-            TransformConfig::new(ErrorBound::ValueRangeRel(1e-3)).with_basis(BasisKind::Haar);
+        let cfg = TransformConfig::new(ErrorBound::ValueRangeRel(1e-3)).with_basis(BasisKind::Haar);
         let (coeff_mse, data_mse, _) = theorem2_probe(&field, &cfg).unwrap();
         assert!(
             (coeff_mse - data_mse).abs() <= 1e-11 * coeff_mse.max(1e-30),
@@ -838,8 +814,7 @@ mod tests {
     #[test]
     fn basis_choice_is_encoded_in_container() {
         let field = textured(20, 20);
-        let dct = transform_compress(&field, &TransformConfig::new(ErrorBound::Abs(1e-3)))
-            .unwrap();
+        let dct = transform_compress(&field, &TransformConfig::new(ErrorBound::Abs(1e-3))).unwrap();
         let haar = transform_compress(
             &field,
             &TransformConfig::new(ErrorBound::Abs(1e-3)).with_basis(BasisKind::Haar),

@@ -17,7 +17,8 @@
 //! the *PSNR* and lets the rate float. The `mode_space` experiment binary
 //! shows both sides.
 
-use crate::basis::{Basis, BasisKind};
+use crate::basis::BasisKind;
+use crate::codec::{for_each_block, forward_block, gather_block, inverse_block, scatter_block};
 use losslesskit::bitio::{BitReader, BitWriter};
 use losslesskit::varint;
 use ndfield::{Field, Scalar, Shape};
@@ -83,8 +84,7 @@ impl EmbeddedConfig {
         }
         match self.mode {
             EcMode::FixedRate { bits_per_value } => {
-                if !(bits_per_value.is_finite() && bits_per_value > 0.0 && bits_per_value <= 64.0)
-                {
+                if !(bits_per_value.is_finite() && bits_per_value > 0.0 && bits_per_value <= 64.0) {
                     return Err(SzError::BadConfig(format!(
                         "bits_per_value {bits_per_value} out of (0, 64]"
                     )));
@@ -184,11 +184,7 @@ fn encode_block(coeffs: &[f64], mode: EcMode, w: &mut BitWriter) {
 }
 
 /// Decode one block (mirror of [`encode_block`]).
-fn decode_block(
-    n: usize,
-    mode: EcMode,
-    r: &mut BitReader<'_>,
-) -> Result<Vec<f64>, SzError> {
+fn decode_block(n: usize, mode: EcMode, r: &mut BitReader<'_>) -> Result<Vec<f64>, SzError> {
     let (budget, max_planes) = block_budget(mode, n);
     let mut used = 0usize;
     let take = |r: &mut BitReader<'_>, used: &mut usize| -> Result<Option<bool>, SzError> {
@@ -238,7 +234,11 @@ fn decode_block(
         for i in 0..n {
             if significant[i] {
                 // Midpoint correction: half of the last decoded plane.
-                let mid = if last_shift > 0 { 1u64 << (last_shift - 1) } else { 0 };
+                let mid = if last_shift > 0 {
+                    1u64 << (last_shift - 1)
+                } else {
+                    0
+                };
                 let mag = (mags[i] + mid) as f64 * descale;
                 out[i] = if signs[i] { -mag } else { mag };
             }
@@ -297,9 +297,9 @@ pub fn embedded_compress<T: Scalar>(
     let grid: Vec<usize> = dims.iter().map(|&d| d.div_ceil(cfg.block)).collect();
     let mut buf = vec![0.0f64; block_len];
     let mut w = BitWriter::new();
-    crate::codec::for_each_block_pub(&grid, |origin| {
-        crate::codec::gather_block_pub(field, origin, cfg.block, &mut buf);
-        forward(&basis, &mut buf, rank);
+    for_each_block(&grid, |origin| {
+        gather_block(field, origin, cfg.block, &mut buf);
+        forward_block(&basis, &mut buf, rank);
         encode_block(&buf, cfg.mode, &mut w);
     });
     let bits = w.finish();
@@ -355,7 +355,9 @@ pub fn embedded_decompress<T: Scalar>(src: &[u8]) -> Result<Field<T>, SzError> {
             if !(bits.is_finite() && bits > 0.0 && bits <= 64.0) {
                 return Err(SzError::Format("bad stored rate"));
             }
-            EcMode::FixedRate { bits_per_value: bits }
+            EcMode::FixedRate {
+                bits_per_value: bits,
+            }
         }
         1 => {
             let planes = *src.get(pos).ok_or(SzError::Format("EC planes truncated"))? as u32;
@@ -381,14 +383,14 @@ pub fn embedded_decompress<T: Scalar>(src: &[u8]) -> Result<Field<T>, SzError> {
     let mut r = BitReader::new(&src[pos..pos + bits_len]);
     let mut out = Field::<T>::zeros(shape);
     let mut failure: Option<SzError> = None;
-    crate::codec::for_each_block_pub(&grid, |origin| {
+    for_each_block(&grid, |origin| {
         if failure.is_some() {
             return;
         }
         match decode_block(block_len, mode, &mut r) {
             Ok(mut coeffs) => {
-                inverse(&basis, &mut coeffs, rank);
-                crate::codec::scatter_block_pub(&mut out, origin, block, &coeffs);
+                inverse_block(&basis, &mut coeffs, rank);
+                scatter_block(&mut out, origin, block, &coeffs);
             }
             Err(e) => failure = Some(e),
         }
@@ -397,14 +399,6 @@ pub fn embedded_decompress<T: Scalar>(src: &[u8]) -> Result<Field<T>, SzError> {
         return Err(e);
     }
     Ok(out)
-}
-
-fn forward(basis: &Basis, buf: &mut [f64], rank: usize) {
-    crate::codec::forward_block_pub(basis, buf, rank);
-}
-
-fn inverse(basis: &Basis, buf: &mut [f64], rank: usize) {
-    crate::codec::inverse_block_pub(basis, buf, rank);
 }
 
 #[cfg(test)]
@@ -467,18 +461,12 @@ mod tests {
         let cfg = EmbeddedConfig::fixed_precision(20);
         let back: Field<f32> =
             embedded_decompress(&embedded_compress(&field, &cfg).unwrap()).unwrap();
-        let amax = field
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |m, &v| m.max(v.abs())) as f64;
+        let amax = field.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs())) as f64;
         for (&x, &y) in field.as_slice().iter().zip(back.as_slice()) {
             // 20 planes of a 48-bit magnitude: error ≤ 2^(emax-20+1); with
             // block emax ≤ global max exponent, bound via amax.
             let tol = amax * 2.0f64.powi(-17);
-            assert!(
-                ((x - y).abs() as f64) <= tol,
-                "x={x} y={y} tol={tol}"
-            );
+            assert!(((x - y).abs() as f64) <= tol, "x={x} y={y} tol={tol}");
         }
     }
 
@@ -531,7 +519,10 @@ mod tests {
         let bytes = embedded_compress(&field, &EmbeddedConfig::fixed_rate(4.0)).unwrap();
         assert!(embedded_decompress::<f64>(&bytes).is_err());
         for cut in [4usize, 10, bytes.len() - 1] {
-            assert!(embedded_decompress::<f32>(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                embedded_decompress::<f32>(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
     }
 

@@ -90,10 +90,10 @@ struct Outcome {
 /// itself offers.
 fn floor_ratio<T: Scalar>(field: &Field<T>, base: &FixedRatioOptions) -> f64 {
     let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-9))
-        .with_quant_bins(base.quant_bins)
-        .with_lossless(base.lossless)
-        .with_threads(base.threads)
-        .with_block_rows(base.block_rows);
+        .with_quant_bins(base.compress.quant_bins)
+        .with_lossless(base.compress.lossless)
+        .with_threads(base.compress.threads)
+        .with_block_rows(base.compress.block_rows);
     let bytes = sz::compress(field, &cfg).expect("floor probe compresses");
     (field.len() * T::BYTES) as f64 / bytes.len() as f64
 }
@@ -186,7 +186,10 @@ fn mono() -> FixedRatioOptions {
 /// sweep is machine-independent.
 fn blocked() -> FixedRatioOptions {
     FixedRatioOptions {
-        threads: 2,
+        compress: FixedPsnrOptions {
+            threads: 2,
+            ..FixedPsnrOptions::default()
+        },
         ..FixedRatioOptions::new(8.0)
     }
 }
@@ -247,8 +250,11 @@ fn auto_predictor_sweeps_hit_targets() {
     // under the same predictor, so the hit-rate guarantees must match
     // the Lorenzo-only paths.
     let auto = FixedRatioOptions {
-        threads: 2,
-        predictor: PredictorKind::Auto,
+        compress: FixedPsnrOptions {
+            threads: 2,
+            predictor: PredictorKind::Auto,
+            ..FixedPsnrOptions::default()
+        },
         ..FixedRatioOptions::new(8.0)
     };
     let outcomes = sweep("GRF/auto", &corpora::grf(), &auto);
@@ -301,9 +307,7 @@ fn obs_counters_account_for_every_pass() {
     );
     assert_eq!(report.counter("fratio.pilot_passes"), Some(pairs));
     // The per-pass prediction trace exists for pass 1 of every request.
-    assert!(report
-        .counter("fratio.pass.1.achieved_bpv_milli")
-        .is_some());
+    assert!(report.counter("fratio.pass.1.achieved_bpv_milli").is_some());
 }
 
 #[test]
@@ -312,15 +316,21 @@ fn blocked_container_bytes_ignore_thread_count() {
     let fields = corpora::registry(DatasetId::Nyx);
     let (name, field) = &fields[0];
     let base = FixedRatioOptions {
-        threads: 2,
-        block_rows: 16,
+        compress: FixedPsnrOptions {
+            threads: 2,
+            block_rows: 16,
+            ..FixedPsnrOptions::default()
+        },
         ..FixedRatioOptions::new(8.0)
     };
     let two = compress_fixed_ratio(field, &base).expect("2 threads");
     let four = compress_fixed_ratio(
         field,
         &FixedRatioOptions {
-            threads: 4,
+            compress: FixedPsnrOptions {
+                threads: 4,
+                ..base.compress
+            },
             ..base
         },
     )
