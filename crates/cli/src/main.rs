@@ -247,13 +247,7 @@ fn compress_typed<T: Scalar>(args: &Args) -> Result<(), String> {
             if chunk_dims != [0; 3] {
                 return Err("budget mode does not support --chunks".into());
             }
-            let base = SzConfig::new(ErrorBound::Abs(1.0))
-                .with_quant_bins(bins)
-                .with_lossless(lossless)
-                .with_auto_intervals(true)
-                .with_threads(threads)
-                .with_block_rows(block_rows)
-                .with_predictor(predictor);
+            let base = psnr_opts.sz_config(ErrorBound::Abs(1.0));
             let (bytes, report) = fpsnr_core::mode::compress_with_mode(
                 &field,
                 fpsnr_core::mode::CompressionMode::ByteBudget(budget),

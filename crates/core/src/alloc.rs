@@ -50,7 +50,7 @@ use fpsnr_metrics::summary::{AllocFieldStat, FieldFailure, SnapshotSummary};
 use fpsnr_parallel::{default_threads, nested_split, par_map};
 use ndfield::Field;
 use szlike::ratemodel::{RateCurve, RateModel};
-use szlike::SzError;
+use szlike::{ErrorBound, SzError};
 
 /// A field of either scalar width — snapshots mix f32 and f64 fields, and
 /// the allocator treats them uniformly (the rate model and compressor are
@@ -96,7 +96,7 @@ impl AnyField {
     fn pilot(&self, opts: &FixedPsnrOptions) -> Result<RateModel, SzError> {
         // The pilot ignores the bound; 1e-3 is only a placeholder to
         // materialize the config.
-        let cfg = opts.sz_config(1e-3);
+        let cfg = opts.sz_config(ErrorBound::ValueRangeRel(1e-3));
         match self {
             AnyField::F32(f) => RateModel::pilot(f, &cfg),
             AnyField::F64(f) => RateModel::pilot(f, &cfg),

@@ -127,11 +127,12 @@ impl Default for FixedPsnrOptions {
 }
 
 impl FixedPsnrOptions {
-    /// The SZ configuration these knobs describe at value-range-relative
-    /// bound `ebrel` — the one place every driver (fixed-PSNR, fixed-ratio,
-    /// allocation) turns its knobs into an [`SzConfig`].
-    pub(crate) fn sz_config(&self, ebrel: f64) -> SzConfig {
-        SzConfig::new(ErrorBound::ValueRangeRel(ebrel))
+    /// The SZ configuration these knobs describe at error bound `bound` —
+    /// the one place every mode (fixed-PSNR, fixed-ratio, allocation, the
+    /// byte budget) turns its knobs into an [`SzConfig`]. Escape and
+    /// entropy coding stay at [`SzConfig::new`]'s defaults.
+    pub fn sz_config(&self, bound: ErrorBound) -> SzConfig {
+        SzConfig::new(bound)
             .with_quant_bins(self.quant_bins)
             .with_auto_intervals(self.auto_intervals)
             .with_lossless(self.lossless)
@@ -139,6 +140,20 @@ impl FixedPsnrOptions {
             .with_block_rows(self.block_rows)
             .with_chunk_dims(self.chunk_dims)
             .with_predictor(self.predictor)
+    }
+
+    /// The knobs of `cfg`, the inverse of [`FixedPsnrOptions::sz_config`]:
+    /// every field but the bound, the escape coding and the entropy coder.
+    pub fn from_sz_config(cfg: &SzConfig) -> Self {
+        FixedPsnrOptions {
+            quant_bins: cfg.quant_bins,
+            auto_intervals: cfg.auto_intervals,
+            lossless: cfg.lossless,
+            threads: cfg.threads,
+            block_rows: cfg.block_rows,
+            chunk_dims: cfg.chunk_dims,
+            predictor: cfg.predictor,
+        }
     }
 }
 
@@ -176,7 +191,7 @@ pub fn compress_fixed_psnr_only<T: Scalar>(
     // The entire fixed-PSNR overhead versus plain SZ lives inside this
     // span: evaluating Eq. 8 once.
     let derive_span = fpsnr_obs::span("fpsnr.derive");
-    let cfg = opts.sz_config(ebrel_for_psnr(target_psnr));
+    let cfg = opts.sz_config(ErrorBound::ValueRangeRel(ebrel_for_psnr(target_psnr)));
     drop(derive_span);
     szlike::compress(field, &cfg)
 }
@@ -267,6 +282,29 @@ mod tests {
             let y = j as f32 * 0.13;
             20.0 * (x.sin() + (y * 0.7).cos()) + 3.0 * ((x * 3.7).sin() * (y * 2.9).cos())
         })
+    }
+
+    #[test]
+    fn sz_config_conversion_round_trips() {
+        let opts = FixedPsnrOptions {
+            quant_bins: 4096,
+            auto_intervals: false,
+            lossless: LosslessBackend::None,
+            threads: 3,
+            block_rows: 0,
+            chunk_dims: [8, 16, 4],
+            predictor: PredictorKind::Auto,
+        };
+        let bound = ErrorBound::Abs(0.5);
+        let cfg = opts.sz_config(bound);
+        assert_eq!(cfg.bound, bound);
+        assert_eq!(FixedPsnrOptions::from_sz_config(&cfg), opts);
+        let cfg = SzConfig::new(bound)
+            .with_quant_bins(1024)
+            .with_threads(2)
+            .with_block_rows(7)
+            .with_predictor(PredictorKind::Regression);
+        assert_eq!(FixedPsnrOptions::from_sz_config(&cfg).sz_config(bound), cfg);
     }
 
     #[test]

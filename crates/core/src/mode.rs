@@ -112,15 +112,7 @@ pub fn compress_with_mode<T: Scalar>(
                 ));
             }
             let opts = FixedRatioOptions {
-                compress: FixedPsnrOptions {
-                    quant_bins: base.quant_bins,
-                    auto_intervals: base.auto_intervals,
-                    lossless: base.lossless,
-                    threads: base.threads,
-                    block_rows: base.block_rows,
-                    chunk_dims: base.chunk_dims,
-                    predictor: base.predictor,
-                },
+                compress: FixedPsnrOptions::from_sz_config(base),
                 ..FixedRatioOptions::new(target)
             };
             let run = compress_fixed_ratio(field, &opts)?;

@@ -211,40 +211,39 @@ fn encode_chunk_as(chunk: &[u8], backend: Backend, effort: Effort) -> Cow<'_, [u
     }
 }
 
-// `HuffmanTrial` sizes exactly one stream per `count_bytes_lanes` lane.
-const _: () = assert!(mshuf::HUFF_STREAMS == 4);
-
 /// The Huffman backend's trial for one chunk: codec and serialized table
 /// built once, and the exact payload length known before a bit is coded.
 struct HuffmanTrial {
     codec: HuffmanCodec,
     table: Vec<u8>,
+    /// Exact bit length of each round-robin stream.
+    bits: [u64; mshuf::HUFF_STREAMS],
     /// Exact length of [`HuffmanTrial::encode`]'s output.
     len: usize,
 }
 
 impl HuffmanTrial {
     /// Size the chunk with per-lane byte counts `lanes`
-    /// ([`freq::count_bytes_lanes`]): the table, the stream-count byte,
-    /// then per round-robin stream one length varint and ⌈bits/8⌉ bytes.
+    /// ([`freq::count_bytes_lanes`]): the table, then the [`mshuf`] blob
+    /// whose stream `k` codes lane `k`.
     fn new(lanes: &[[u64; 256]; 4]) -> Self {
         let codec = HuffmanCodec::from_counts(&freq::merge_lanes(lanes));
         let mut table = Vec::new();
         codec.write_table(&mut table);
-        let mut len = table.len() + 1;
-        for lane in lanes {
-            let bytes = codec.encoded_bits(lane).div_ceil(8);
-            len += varint::len_u64(bytes) + bytes as usize;
+        let bits = std::array::from_fn(|k| codec.encoded_bits(&lanes[k]));
+        let len = table.len() + mshuf::encoded_len(&bits);
+        HuffmanTrial {
+            codec,
+            table,
+            bits,
+            len,
         }
-        HuffmanTrial { codec, table, len }
     }
 
     /// Table ‖ [`mshuf`] blob of the chunk's bytes as symbols.
     fn encode(self, chunk: &[u8]) -> Vec<u8> {
-        let symbols: Vec<u32> = chunk.iter().map(|&b| b as u32).collect();
         let mut out = self.table;
-        out.reserve_exact(self.len - out.len());
-        out.extend_from_slice(&mshuf::encode(&symbols, &self.codec, mshuf::HUFF_STREAMS));
+        mshuf::encode_sized(chunk, &self.codec, &self.bits, &mut out);
         debug_assert_eq!(out.len(), self.len);
         out
     }

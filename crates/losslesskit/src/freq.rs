@@ -27,43 +27,85 @@ const MULTI_TABLE_MIN_LEN: usize = 4096;
 /// table of length `alphabet` (symbols ≥ `alphabet` panic — the caller fixed
 /// the alphabet when it configured the quantizer).
 ///
-/// Long inputs over quantizer-sized alphabets are counted into four
-/// interleaved sub-tables merged at the end. Repeated symbols (the common
-/// case: quantization codes cluster hard around the zero-error bin) then
-/// hit four independent counter slots instead of one, breaking the
-/// store-to-load dependency chain that serializes the naive loop. Counts
-/// are exact either way — addition is associative over a partition of the
-/// input — so the result is identical to the single-table loop.
+/// Long inputs over quantizer-sized alphabets are counted into
+/// [`count_dense_lanes`]' four split tables, merged at the end. Repeated
+/// symbols (the common case: quantization codes cluster hard around the
+/// zero-error bin) then hit four independent counter slots instead of one,
+/// breaking the store-to-load dependency chain that serializes the naive
+/// loop. Counts are exact either way — addition is associative over a
+/// partition of the input — so the result is identical to the
+/// single-table loop.
 pub fn count_dense(symbols: &[u32], alphabet: usize) -> Vec<u64> {
+    count_dense_parts(&[symbols], alphabet)
+}
+
+/// [`count_dense`] over the concatenation of `parts`, without building
+/// it: every part is counted into the same tables.
+pub fn count_dense_parts(parts: &[&[u32]], alphabet: usize) -> Vec<u64> {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
     if simd::active() >= SimdLevel::Sse2
-        && symbols.len() >= MULTI_TABLE_MIN_LEN
+        && total >= MULTI_TABLE_MIN_LEN
         && alphabet <= MULTI_TABLE_MAX_ALPHABET
-        && symbols.len() <= u32::MAX as usize
+        && total <= u32::MAX as usize
     {
-        // u32 sub-counters: the length gate above makes overflow impossible.
-        let mut t = vec![0u32; alphabet * 4];
-        let (t0, rest) = t.split_at_mut(alphabet);
-        let (t1, rest) = rest.split_at_mut(alphabet);
-        let (t2, t3) = rest.split_at_mut(alphabet);
-        let mut quads = symbols.chunks_exact(4);
-        for q in &mut quads {
-            t0[q[0] as usize] += 1;
-            t1[q[1] as usize] += 1;
-            t2[q[2] as usize] += 1;
-            t3[q[3] as usize] += 1;
+        // u32 lane counters: the length gate above makes overflow impossible.
+        let mut lanes = vec![[0u32; 4]; alphabet];
+        for symbols in parts {
+            add_lanes(&mut lanes, symbols);
         }
-        for &s in quads.remainder() {
-            t0[s as usize] += 1;
-        }
-        return (0..alphabet)
-            .map(|i| t0[i] as u64 + t1[i] as u64 + t2[i] as u64 + t3[i] as u64)
-            .collect();
+        return merge_dense_lanes(&lanes);
     }
     let mut counts = vec![0u64; alphabet];
-    for &s in symbols {
-        counts[s as usize] += 1;
+    for symbols in parts {
+        for &s in *symbols {
+            counts[s as usize] += 1;
+        }
     }
     counts
+}
+
+/// Dense counts split by position modulo 4: `lanes[s][k]` counts the
+/// positions `i ≡ k (mod 4)` holding symbol `s`. These are the symbol
+/// counts of the four round-robin streams of a [`crate::mshuf`] blob with
+/// [`crate::mshuf::HUFF_STREAMS`] streams, so
+/// [`HuffmanCodec::encoded_lane_bits`](crate::huffman::HuffmanCodec::encoded_lane_bits)
+/// sizes those streams exactly before encoding; [`merge_dense_lanes`]
+/// gives [`count_dense`]'s counts.
+///
+/// # Panics
+/// Panics if a symbol is ≥ `alphabet`, or if one lane would count more
+/// than `u32::MAX` positions.
+pub fn count_dense_lanes(symbols: &[u32], alphabet: usize) -> Vec<[u32; 4]> {
+    assert!(
+        symbols.len() / 4 < u32::MAX as usize,
+        "{} symbols overflow a u32 lane counter",
+        symbols.len()
+    );
+    let mut lanes = vec![[0u32; 4]; alphabet];
+    add_lanes(&mut lanes, symbols);
+    lanes
+}
+
+/// Add `symbols` to `lanes`, position `i` to lane `i mod 4`.
+fn add_lanes(lanes: &mut [[u32; 4]], symbols: &[u32]) {
+    let mut quads = symbols.chunks_exact(4);
+    for q in &mut quads {
+        lanes[q[0] as usize][0] += 1;
+        lanes[q[1] as usize][1] += 1;
+        lanes[q[2] as usize][2] += 1;
+        lanes[q[3] as usize][3] += 1;
+    }
+    for (k, &s) in quads.remainder().iter().enumerate() {
+        lanes[s as usize][k] += 1;
+    }
+}
+
+/// Whole-input counts from [`count_dense_lanes`]' per-lane counts.
+pub fn merge_dense_lanes(lanes: &[[u32; 4]]) -> Vec<u64> {
+    lanes
+        .iter()
+        .map(|l| l.iter().map(|&c| u64::from(c)).sum())
+        .collect()
 }
 
 /// Count occurrences of each byte value.
@@ -178,6 +220,26 @@ mod tests {
         let mut symbols = vec![1u32; MULTI_TABLE_MIN_LEN];
         symbols.push(4);
         count_dense(&symbols, 4);
+    }
+
+    #[test]
+    fn dense_lanes_split_by_position_mod_4() {
+        let symbols: Vec<u32> = (0..11u32).map(|i| i % 5).collect();
+        let lanes = count_dense_lanes(&symbols, 5);
+        let mut want = vec![[0u32; 4]; 5];
+        for (i, &s) in symbols.iter().enumerate() {
+            want[s as usize][i % 4] += 1;
+        }
+        assert_eq!(lanes, want);
+        assert_eq!(merge_dense_lanes(&lanes), count_dense(&symbols, 5));
+    }
+
+    #[test]
+    fn parts_count_as_their_concatenation() {
+        let a: Vec<u32> = (0..MULTI_TABLE_MIN_LEN as u32 + 3).map(|i| i % 13).collect();
+        let b = [12u32, 0, 5];
+        let whole: Vec<u32> = a.iter().chain(&b).copied().collect();
+        assert_eq!(count_dense_parts(&[&a, &[], &b], 13), count_dense(&whole, 13));
     }
 
     #[test]

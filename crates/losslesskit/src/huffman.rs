@@ -40,7 +40,7 @@
 use crate::bitio::{BitReader, BitWriter};
 use crate::varint;
 use crate::CodecError;
-use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Longest permitted code. Frequencies are rescaled and the tree rebuilt if
 /// the unconstrained Huffman tree exceeds this (only reachable with > 2^24
@@ -67,30 +67,43 @@ const MAX_SUB_TABLE_ENTRIES: usize = 1 << 22;
 
 /// A canonical Huffman encoder/decoder for symbols `0..alphabet`.
 ///
+/// Encoding reads one packed entry per symbol ([`HuffmanCodec::entries`]).
 /// Decoding is fully table-driven (no bit-at-a-time tree walk): a primary
 /// table over `FAST_BITS` (12) peeked bits resolves every code of length
 /// ≤ `FAST_BITS` in one lookup, and each longer-code prefix points at a
 /// second-level subtable indexed by the remaining bits — the classic
-/// zlib/zstd two-level layout, bounded at two lookups per symbol.
+/// zlib/zstd two-level layout, bounded at two lookups per symbol. The
+/// decode tables are built on the first decode, so a codec that only
+/// encodes never pays for them.
 #[derive(Debug, Clone)]
 pub struct HuffmanCodec {
     /// Code length per symbol; 0 = symbol unused.
     lens: Vec<u8>,
-    /// Wire form per symbol: the canonical (MSB-first) code pre-reversed to
-    /// LSB-first, ready to hand to [`BitWriter::write_bits`] without
-    /// per-symbol bit-reversal. The MSB-first code is recoverable as
-    /// `reverse_bits(wire[s], lens[s])`.
-    wire: Vec<u32>,
+    /// Encoder entry per symbol: the canonical (MSB-first) code
+    /// pre-reversed to its LSB-first wire form in the low 32 bits and the
+    /// code length above them (`wire | len << 32`), so one load yields
+    /// what [`BitWriter::write_bits`] takes. The MSB-first code is
+    /// recoverable as `reverse_bits(wire, len)`.
+    entries: Vec<u64>,
     /// max code length actually used (0 for an empty alphabet).
     max_len: u32,
-    /// fast_table[peeked FAST_BITS, LSB-first] = (payload, len).
+    /// Two-level decode tables, built on first use.
+    dec: OnceLock<DecodeTables>,
+}
+
+/// The two-level decode tables of a [`HuffmanCodec`].
+#[derive(Debug, Clone)]
+pub(crate) struct DecodeTables {
+    /// max code length (0 for an empty alphabet).
+    max_len: u32,
+    /// fast[peeked FAST_BITS, LSB-first] = (payload, len).
     /// len > 0          ⇒ direct hit: payload is the symbol.
     /// len = 0, payload = `INVALID` ⇒ no code has this prefix (corrupt).
     /// len = 0 otherwise ⇒ payload = (subtable offset << 5) | sub_bits.
-    fast_table: Vec<(u32, u8)>,
+    fast: Vec<(u32, u8)>,
     /// Second-level entries (symbol, total code length); length 0 ⇒ the
     /// extended bit pattern matches no code.
-    sub_table: Vec<(u32, u8)>,
+    sub: Vec<(u32, u8)>,
 }
 
 /// Primary-table payload marking a prefix no code starts with.
@@ -100,117 +113,68 @@ impl HuffmanCodec {
     /// Build a codec from a dense frequency table (`counts[s]` = number of
     /// occurrences of symbol `s`).
     pub fn from_counts(counts: &[u64]) -> Self {
-        let mut scaled: Vec<u64> = counts.to_vec();
-        loop {
-            let lens = build_code_lengths(&scaled);
-            let max = lens.iter().copied().max().unwrap_or(0) as u32;
-            if max <= MAX_CODE_LEN {
-                return Self::from_lens(lens);
-            }
+        let (mut lens, mut max) = build_code_lengths(counts);
+        let mut scaled = Vec::new();
+        while max > MAX_CODE_LEN {
             // Halve (floor, keep nonzero alive) and retry — flattens the
             // distribution, which strictly reduces the maximum depth.
+            if scaled.is_empty() {
+                scaled = counts.to_vec();
+            }
             for c in scaled.iter_mut() {
                 if *c > 0 {
                     *c = (*c >> 1).max(1);
                 }
             }
+            (lens, max) = build_code_lengths(&scaled);
         }
+        Self::from_lens(lens)
     }
 
-    /// Rebuild a codec from code lengths (the canonical-code construction —
-    /// shared by the builder and the table deserializer).
+    /// Rebuild a codec from code lengths, all ≤ [`MAX_CODE_LEN`] (the
+    /// canonical-code construction — shared by the builder and the table
+    /// deserializer).
     fn from_lens(lens: Vec<u8>) -> Self {
-        let max_len = lens.iter().copied().max().unwrap_or(0) as u32;
-        let mut bl_count = vec![0u32; max_len as usize + 1];
-        for &l in &lens {
-            if l > 0 {
-                bl_count[l as usize] += 1;
-            }
-        }
+        let bl_count = length_histogram(&lens);
+        let max_len = bl_count.iter().rposition(|&c| c > 0).unwrap_or(0) as u32;
         // DEFLATE-style canonical code assignment.
-        let mut first_code = vec![0u32; max_len as usize + 1];
+        let mut next_code = [0u32; MAX_CODE_LEN as usize + 1];
         let mut code = 0u32;
         for len in 1..=max_len as usize {
             code = (code + bl_count[len - 1]) << 1;
-            first_code[len] = code;
+            next_code[len] = code;
         }
-        let mut next_code = first_code.clone();
-        let mut codes = vec![0u32; lens.len()];
-        let mut wire = vec![0u32; lens.len()];
-        for (sym, &l) in lens.iter().enumerate() {
-            if l > 0 {
-                let l = l as usize;
-                codes[sym] = next_code[l];
-                wire[sym] = reverse_bits(codes[sym], l as u32);
-                next_code[l] += 1;
-            }
-        }
-        // Primary table over the low FAST_BITS peeked bits.
-        let fast_len = 1usize << FAST_BITS;
-        let mut fast_table = vec![(INVALID, 0u8); fast_len];
-        for (sym, &l) in lens.iter().enumerate() {
-            let l32 = l as u32;
-            if l == 0 || l32 > FAST_BITS {
-                continue;
-            }
-            // The wire form is the bit-reversed code; every extension of it
-            // below FAST_BITS maps to this symbol.
-            let rev = reverse_bits(codes[sym], l32);
-            let step = 1usize << l32;
-            let mut idx = rev as usize;
-            while idx < fast_len {
-                fast_table[idx] = (sym as u32, l);
-                idx += step;
-            }
-        }
-        // Second level: group codes longer than FAST_BITS by their low
-        // FAST_BITS wire prefix; each group gets a subtable indexed by the
-        // next `longest-in-group − FAST_BITS` bits.
-        let mut sub_table: Vec<(u32, u8)> = Vec::new();
-        if max_len > FAST_BITS {
-            let mut group_max = vec![0u32; fast_len];
-            for (sym, &l) in lens.iter().enumerate() {
-                let l32 = l as u32;
-                if l32 > FAST_BITS {
-                    let prefix = (reverse_bits(codes[sym], l32) & (fast_len as u32 - 1)) as usize;
-                    group_max[prefix] = group_max[prefix].max(l32);
+        let entries = lens
+            .iter()
+            .map(|&l| {
+                if l == 0 {
+                    return 0;
                 }
-            }
-            for (prefix, &gmax) in group_max.iter().enumerate() {
-                if gmax == 0 {
-                    continue;
-                }
-                let sub_bits = gmax - FAST_BITS;
-                debug_assert!(fast_table[prefix].1 == 0, "short code shadows long prefix");
-                fast_table[prefix] = (((sub_table.len() as u32) << 5) | sub_bits, 0);
-                sub_table.resize(sub_table.len() + (1usize << sub_bits), (0, 0));
-            }
-            for (sym, &l) in lens.iter().enumerate() {
-                let l32 = l as u32;
-                if l32 <= FAST_BITS {
-                    continue;
-                }
-                let wire = reverse_bits(codes[sym], l32);
-                let prefix = (wire & (fast_len as u32 - 1)) as usize;
-                let (payload, _) = fast_table[prefix];
-                let sub_bits = payload & 0x1f;
-                let base = (payload >> 5) as usize;
-                // Every extension of the remainder bits maps to this symbol.
-                let step = 1usize << (l32 - FAST_BITS);
-                let mut idx = (wire >> FAST_BITS) as usize;
-                while idx < (1usize << sub_bits) {
-                    sub_table[base + idx] = (sym as u32, l);
-                    idx += step;
-                }
-            }
-        }
+                let c = next_code[l as usize];
+                next_code[l as usize] += 1;
+                u64::from(reverse_bits(c, l as u32)) | u64::from(l) << 32
+            })
+            .collect();
         HuffmanCodec {
             lens,
-            wire,
+            entries,
             max_len,
-            fast_table,
-            sub_table,
+            dec: OnceLock::new(),
         }
+    }
+
+    /// Packed encoder entries, one per symbol: `wire | len << 32`, where
+    /// `wire` is the code in LSB-first wire order and `len` its length
+    /// (0 for a symbol absent from the counts).
+    pub fn entries(&self) -> &[u64] {
+        &self.entries
+    }
+
+    /// The decode tables, built on first use.
+    #[inline]
+    pub(crate) fn tables(&self) -> &DecodeTables {
+        self.dec
+            .get_or_init(|| DecodeTables::build(&self.entries, self.max_len))
     }
 
     /// Alphabet size this codec was built for.
@@ -227,46 +191,46 @@ impl HuffmanCodec {
     pub fn encoded_bits(&self, counts: &[u64]) -> u64 {
         counts
             .iter()
-            .enumerate()
-            .map(|(s, &c)| c * self.lens[s] as u64)
+            .zip(&self.lens)
+            .map(|(&c, &l)| c * u64::from(l))
             .sum()
+    }
+
+    /// Exact size in bits of each of the four round-robin streams whose
+    /// symbol counts are `lanes` (see [`crate::freq::count_dense_lanes`]).
+    pub fn encoded_lane_bits(&self, lanes: &[[u32; 4]]) -> [u64; 4] {
+        let mut bits = [0u64; 4];
+        for (lane, &l) in lanes.iter().zip(&self.lens) {
+            for k in 0..4 {
+                bits[k] += u64::from(lane[k]) * u64::from(l);
+            }
+        }
+        bits
     }
 
     /// Append the code for one symbol.
     ///
     /// # Panics
-    /// Panics if `sym` was absent from the frequency table (length 0).
+    /// Panics if `sym` is outside the alphabet; encoding a symbol that was
+    /// absent from the frequency table (length 0) is a logic error.
     #[inline]
     pub fn encode_one(&self, sym: u32, w: &mut BitWriter) {
-        let len = self.lens[sym as usize] as u32;
-        debug_assert!(len > 0, "encoding symbol {sym} with no code");
-        w.write_bits(self.wire[sym as usize] as u64, len);
+        let e = self.entries[sym as usize];
+        debug_assert!(e >> 32 > 0, "encoding symbol {sym} with no code");
+        w.write_bits(e & u64::from(u32::MAX), (e >> 32) as u32);
     }
 
-    /// Append the codes for two symbols in one packed `write_bits` call
-    /// (2 × `MAX_CODE_LEN` = 56 bits fits the writer's per-call limit),
-    /// halving writer bookkeeping on the entropy-stage hot path. The
-    /// emitted bitstream is identical to two [`HuffmanCodec::encode_one`]
-    /// calls.
-    ///
-    /// # Panics
-    /// Panics if either symbol was absent from the frequency table.
-    #[inline]
-    pub fn encode_pair(&self, a: u32, b: u32, w: &mut BitWriter) {
-        let (s0, s1) = (a as usize, b as usize);
-        let (l0, l1) = (self.lens[s0] as u32, self.lens[s1] as u32);
-        debug_assert!(l0 > 0 && l1 > 0, "encoding symbol with no code");
-        let packed = self.wire[s0] as u64 | ((self.wire[s1] as u64) << l0);
-        w.write_bits(packed, l0 + l1);
-    }
-
-    /// Encode a slice of symbols (pairs packed via
-    /// [`HuffmanCodec::encode_pair`]; bitstream identical to
-    /// symbol-at-a-time encoding).
+    /// Encode a slice of symbols. Two codes go out per
+    /// [`BitWriter::write_bits`] call (2 × `MAX_CODE_LEN` = 56 bits fits
+    /// its per-call limit); the bitstream is identical to
+    /// symbol-at-a-time encoding.
     pub fn encode(&self, symbols: &[u32], w: &mut BitWriter) {
         let mut pairs = symbols.chunks_exact(2);
         for pair in &mut pairs {
-            self.encode_pair(pair[0], pair[1], w);
+            let (w0, l0) = unpack(self.entries[pair[0] as usize]);
+            let (w1, l1) = unpack(self.entries[pair[1] as usize]);
+            debug_assert!(l0 > 0 && l1 > 0, "encoding symbol with no code");
+            w.write_bits(u64::from(w0) | u64::from(w1) << l0, l0 + l1);
         }
         for &s in pairs.remainder() {
             self.encode_one(s, w);
@@ -280,75 +244,7 @@ impl HuffmanCodec {
     /// [`CodecError::Corrupt`] when the bits match no code.
     #[inline]
     pub fn decode_one(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
-        if self.max_len == 0 {
-            return Err(CodecError::Corrupt("decode from empty codec"));
-        }
-        let peek = r.peek_bits(FAST_BITS) as usize;
-        let (payload, len) = self.fast_table[peek];
-        if len > 0 {
-            if r.bits_remaining() < len as usize {
-                return Err(CodecError::UnexpectedEof);
-            }
-            r.consume(len as u32);
-            return Ok(payload);
-        }
-        if payload == INVALID {
-            // Peeks past the end read as zeros, so a truncated stream can
-            // land here; report EOF rather than corruption in that case.
-            if r.bits_remaining() < FAST_BITS as usize {
-                return Err(CodecError::UnexpectedEof);
-            }
-            return Err(CodecError::Corrupt("bit pattern matches no Huffman code"));
-        }
-        // Long code: one more lookup in the prefix's subtable.
-        let sub_bits = payload & 0x1f;
-        let base = (payload >> 5) as usize;
-        let ext = r.peek_bits(FAST_BITS + sub_bits) as usize;
-        let (sym, total) = self.sub_table[base + (ext >> FAST_BITS)];
-        if total == 0 {
-            if r.bits_remaining() < (FAST_BITS + sub_bits) as usize {
-                return Err(CodecError::UnexpectedEof);
-            }
-            return Err(CodecError::Corrupt("bit pattern matches no Huffman code"));
-        }
-        if r.bits_remaining() < total as usize {
-            return Err(CodecError::UnexpectedEof);
-        }
-        r.consume(total as u32);
-        Ok(sym)
-    }
-
-    /// [`HuffmanCodec::decode_one`] on a raw `(acc, nbits)` accumulator,
-    /// without per-symbol EOF accounting. The SoA quad fast path in
-    /// [`crate::mshuf`] mirrors four readers into flat arrays so their
-    /// refills can be vectorized; this is the per-lane table walk it runs
-    /// between refills. Precondition: ≥ [`MAX_CODE_LEN`] bits buffered
-    /// (the caller checked ≥ 8 unread bytes per lane and refilled), so a table
-    /// miss is corruption, never truncation.
-    #[inline]
-    pub(crate) fn decode_one_raw(&self, acc: &mut u64, nbits: &mut u32) -> Result<u32, CodecError> {
-        let peek = (*acc & ((1u64 << FAST_BITS) - 1)) as usize;
-        let (payload, len) = self.fast_table[peek];
-        if len > 0 {
-            debug_assert!(*nbits >= len as u32, "decode_one_raw past fill");
-            *acc >>= len as u32;
-            *nbits -= len as u32;
-            return Ok(payload);
-        }
-        if payload == INVALID {
-            return Err(CodecError::Corrupt("bit pattern matches no Huffman code"));
-        }
-        let sub_bits = payload & 0x1f;
-        let base = (payload >> 5) as usize;
-        let ext = (*acc & ((1u64 << (FAST_BITS + sub_bits)) - 1)) as usize;
-        let (sym, total) = self.sub_table[base + (ext >> FAST_BITS)];
-        if total == 0 {
-            return Err(CodecError::Corrupt("bit pattern matches no Huffman code"));
-        }
-        debug_assert!(*nbits >= total as u32, "decode_one_raw past fill");
-        *acc >>= total as u32;
-        *nbits -= total as u32;
-        Ok(sym)
+        self.tables().decode_one(r)
     }
 
     /// Decode exactly `n` symbols into `out`.
@@ -361,9 +257,10 @@ impl HuffmanCodec {
         n: usize,
         out: &mut Vec<u32>,
     ) -> Result<(), CodecError> {
+        let t = self.tables();
         out.reserve(n);
         for _ in 0..n {
-            out.push(self.decode_one(r)?);
+            out.push(t.decode_one(r)?);
         }
         Ok(())
     }
@@ -372,16 +269,12 @@ impl HuffmanCodec {
     /// `(length, run)` pairs covering the alphabet).
     pub fn write_table(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.lens.len() as u64);
-        let mut i = 0usize;
-        while i < self.lens.len() {
-            let l = self.lens[i];
-            let mut run = 1usize;
-            while i + run < self.lens.len() && self.lens[i + run] == l {
-                run += 1;
-            }
+        let mut rest = &self.lens[..];
+        while let Some(&l) = rest.first() {
+            let run = rest.iter().position(|&x| x != l).unwrap_or(rest.len());
             out.push(l);
             varint::write_u64(out, run as u64);
-            i += run;
+            rest = &rest[run..];
         }
     }
 
@@ -413,21 +306,20 @@ impl HuffmanCodec {
             lens.resize(lens.len() + run, l);
         }
         // Kraft inequality check: rejects tables no prefix code satisfies.
-        let mut kraft = 0u64;
-        let mut used = 0u64;
-        for &l in &lens {
-            if l > 0 {
-                kraft += 1u64 << (MAX_CODE_LEN - l as u32);
-                used += 1;
-            }
-        }
+        let bl_count = length_histogram(&lens);
+        let used: u64 = bl_count.iter().map(|&c| u64::from(c)).sum();
+        let kraft: u64 = (1..=MAX_CODE_LEN)
+            .map(|l| u64::from(bl_count[l as usize]) << (MAX_CODE_LEN - l))
+            .sum();
         let full = 1u64 << MAX_CODE_LEN;
         if used > 1 && kraft > full {
             return Err(CodecError::Corrupt("code lengths violate Kraft inequality"));
         }
-        // Size the two-level decode table BEFORE building it: Kraft-legal
-        // adversarial length sets can demand gigabytes of subtables.
-        let sub_entries = Self::sub_table_entries(&lens);
+        let codec = Self::from_lens(lens);
+        // Size the two-level decode table before it is ever built:
+        // Kraft-legal adversarial length sets can demand gigabytes of
+        // subtables.
+        let sub_entries = DecodeTables::sub_entries(&codec.entries, codec.max_len);
         if sub_entries > MAX_SUB_TABLE_ENTRIES {
             return Err(CodecError::LimitExceeded {
                 what: "Huffman decode-table entries",
@@ -435,50 +327,183 @@ impl HuffmanCodec {
                 limit: MAX_SUB_TABLE_ENTRIES as u64,
             });
         }
-        Ok(Self::from_lens(lens))
+        Ok(codec)
     }
+}
 
-    /// Second-level entry count [`Self::from_lens`] would allocate for
-    /// these code lengths (mirrors its grouping: one subtable per deep
-    /// low-`FAST_BITS` wire prefix, sized by the group's longest code).
-    fn sub_table_entries(lens: &[u8]) -> usize {
-        let max_len = lens.iter().copied().max().unwrap_or(0) as u32;
-        if max_len <= FAST_BITS {
-            return 0;
-        }
+impl DecodeTables {
+    /// The primary and second-level tables for a codec's entries.
+    fn build(entries: &[u64], max_len: u32) -> Self {
         let fast_len = 1usize << FAST_BITS;
-        let mut group_max = vec![0u32; fast_len];
-        let mut bl_count = vec![0u32; max_len as usize + 1];
-        for &l in lens {
-            if l > 0 {
-                bl_count[l as usize] += 1;
-            }
-        }
-        let mut first_code = vec![0u32; max_len as usize + 1];
-        let mut code = 0u32;
-        for len in 1..=max_len as usize {
-            code = (code + bl_count[len - 1]) << 1;
-            first_code[len] = code;
-        }
-        let mut next_code = first_code;
-        for &l in lens {
-            if l == 0 {
+        let mut fast = vec![(INVALID, 0u8); fast_len];
+        for (sym, &e) in entries.iter().enumerate() {
+            let (wire, l) = unpack(e);
+            if l == 0 || l > FAST_BITS {
                 continue;
             }
-            let l32 = l as u32;
-            let c = next_code[l as usize];
-            next_code[l as usize] += 1;
-            if l32 > FAST_BITS {
-                let prefix = (reverse_bits(c, l32) & (fast_len as u32 - 1)) as usize;
-                group_max[prefix] = group_max[prefix].max(l32);
+            // Every extension of the wire form below FAST_BITS maps to
+            // this symbol.
+            let step = 1usize << l;
+            let mut idx = wire as usize;
+            while idx < fast_len {
+                fast[idx] = (sym as u32, l as u8);
+                idx += step;
+            }
+        }
+        // Second level: group codes longer than FAST_BITS by their low
+        // FAST_BITS wire prefix; each group gets a subtable indexed by the
+        // next `longest-in-group − FAST_BITS` bits.
+        let mut sub: Vec<(u32, u8)> = Vec::new();
+        if max_len > FAST_BITS {
+            for (prefix, &gmax) in Self::group_max(entries).iter().enumerate() {
+                if gmax == 0 {
+                    continue;
+                }
+                let sub_bits = gmax - FAST_BITS;
+                debug_assert!(fast[prefix].1 == 0, "short code shadows long prefix");
+                fast[prefix] = (((sub.len() as u32) << 5) | sub_bits, 0);
+                sub.resize(sub.len() + (1usize << sub_bits), (0, 0));
+            }
+            for (sym, &e) in entries.iter().enumerate() {
+                let (wire, l) = unpack(e);
+                if l <= FAST_BITS {
+                    continue;
+                }
+                let prefix = (wire & (fast_len as u32 - 1)) as usize;
+                let (payload, _) = fast[prefix];
+                let sub_bits = payload & 0x1f;
+                let base = (payload >> 5) as usize;
+                // Every extension of the remainder bits maps to this symbol.
+                let step = 1usize << (l - FAST_BITS);
+                let mut idx = (wire >> FAST_BITS) as usize;
+                while idx < (1usize << sub_bits) {
+                    sub[base + idx] = (sym as u32, l as u8);
+                    idx += step;
+                }
+            }
+        }
+        DecodeTables { max_len, fast, sub }
+    }
+
+    /// Longest code per low-`FAST_BITS` wire prefix, over the codes
+    /// longer than `FAST_BITS` (0 where no long code has that prefix).
+    fn group_max(entries: &[u64]) -> Vec<u32> {
+        let fast_len = 1usize << FAST_BITS;
+        let mut group_max = vec![0u32; fast_len];
+        for &e in entries {
+            let (wire, l) = unpack(e);
+            if l > FAST_BITS {
+                let prefix = (wire & (fast_len as u32 - 1)) as usize;
+                group_max[prefix] = group_max[prefix].max(l);
             }
         }
         group_max
+    }
+
+    /// Second-level entry count [`DecodeTables::build`] allocates for
+    /// these entries (one subtable per deep low-`FAST_BITS` wire prefix,
+    /// sized by the group's longest code).
+    fn sub_entries(entries: &[u64], max_len: u32) -> usize {
+        if max_len <= FAST_BITS {
+            return 0;
+        }
+        Self::group_max(entries)
             .iter()
             .filter(|&&g| g > 0)
             .map(|&g| 1usize << (g - FAST_BITS))
             .sum()
     }
+
+    /// Decode one symbol (see [`HuffmanCodec::decode_one`]).
+    #[inline]
+    pub(crate) fn decode_one(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
+        if self.max_len == 0 {
+            return Err(CodecError::Corrupt("decode from empty codec"));
+        }
+        let peek = r.peek_bits(FAST_BITS) as usize;
+        let (payload, len) = self.fast[peek];
+        if len > 0 {
+            if r.bits_remaining() < len as usize {
+                return Err(CodecError::UnexpectedEof);
+            }
+            r.consume(len as u32);
+            return Ok(payload);
+        }
+        if payload == INVALID {
+            // Peeks past the end read as zeros, so a truncated stream can
+            // land here; report EOF rather than corruption in that case.
+            if r.bits_remaining() < FAST_BITS as usize {
+                return Err(CodecError::UnexpectedEof);
+            }
+            return Err(CodecError::Corrupt("bit pattern matches no Huffman code"));
+        }
+        // Long code: one more lookup in the prefix's subtable.
+        let sub_bits = payload & 0x1f;
+        let base = (payload >> 5) as usize;
+        let ext = r.peek_bits(FAST_BITS + sub_bits) as usize;
+        let (sym, total) = self.sub[base + (ext >> FAST_BITS)];
+        if total == 0 {
+            if r.bits_remaining() < (FAST_BITS + sub_bits) as usize {
+                return Err(CodecError::UnexpectedEof);
+            }
+            return Err(CodecError::Corrupt("bit pattern matches no Huffman code"));
+        }
+        if r.bits_remaining() < total as usize {
+            return Err(CodecError::UnexpectedEof);
+        }
+        r.consume(total as u32);
+        Ok(sym)
+    }
+
+    /// [`DecodeTables::decode_one`] on a raw `(acc, nbits)` accumulator,
+    /// without per-symbol EOF accounting. The SoA quad fast path in
+    /// [`crate::mshuf`] mirrors four readers into flat arrays so their
+    /// refills can be vectorized; this is the per-lane table walk it runs
+    /// between refills. Precondition: ≥ [`MAX_CODE_LEN`] bits buffered
+    /// (the caller checked ≥ 8 unread bytes per lane and refilled), so a table
+    /// miss is corruption, never truncation.
+    #[inline]
+    pub(crate) fn decode_one_raw(&self, acc: &mut u64, nbits: &mut u32) -> Result<u32, CodecError> {
+        let peek = (*acc & ((1u64 << FAST_BITS) - 1)) as usize;
+        let (payload, len) = self.fast[peek];
+        if len > 0 {
+            debug_assert!(*nbits >= len as u32, "decode_one_raw past fill");
+            *acc >>= len as u32;
+            *nbits -= len as u32;
+            return Ok(payload);
+        }
+        if payload == INVALID {
+            return Err(CodecError::Corrupt("bit pattern matches no Huffman code"));
+        }
+        let sub_bits = payload & 0x1f;
+        let base = (payload >> 5) as usize;
+        let ext = (*acc & ((1u64 << (FAST_BITS + sub_bits)) - 1)) as usize;
+        let (sym, total) = self.sub[base + (ext >> FAST_BITS)];
+        if total == 0 {
+            return Err(CodecError::Corrupt("bit pattern matches no Huffman code"));
+        }
+        debug_assert!(*nbits >= total as u32, "decode_one_raw past fill");
+        *acc >>= total as u32;
+        *nbits -= total as u32;
+        Ok(sym)
+    }
+}
+
+/// Split a packed encoder entry into `(wire, len)`.
+#[inline]
+fn unpack(e: u64) -> (u32, u32) {
+    (e as u32, (e >> 32) as u32)
+}
+
+/// Number of symbols per code length (`[0]` is always 0: unused symbols
+/// are not counted). Lengths must be ≤ [`MAX_CODE_LEN`].
+fn length_histogram(lens: &[u8]) -> [u32; MAX_CODE_LEN as usize + 1] {
+    let mut bl_count = [0u32; MAX_CODE_LEN as usize + 1];
+    for &l in lens {
+        bl_count[l as usize] += 1;
+    }
+    bl_count[0] = 0;
+    bl_count
 }
 
 /// Reverse the low `n` bits of `v` (MSB-first canonical code → LSB-first
@@ -488,89 +513,71 @@ fn reverse_bits(v: u32, n: u32) -> u32 {
     v.reverse_bits() >> (32 - n)
 }
 
-/// Compute Huffman code lengths from frequencies using a binary heap with
-/// deterministic tie-breaking (lower symbol index wins) so compressor and
-/// tests are reproducible across runs.
-fn build_code_lengths(counts: &[u64]) -> Vec<u8> {
-    #[derive(PartialEq, Eq)]
-    struct Item {
-        weight: u64,
-        tiebreak: u32,
-        node: u32,
-    }
-    impl Ord for Item {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // BinaryHeap is a max-heap; invert for min-heap behaviour.
-            other
-                .weight
-                .cmp(&self.weight)
-                .then(other.tiebreak.cmp(&self.tiebreak))
-        }
-    }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let used: Vec<u32> = counts
+/// Compute Huffman code lengths from frequencies, and the longest one.
+///
+/// Two-queue construction: the live symbols sorted by `(count, symbol)`
+/// are merged with a FIFO of internal nodes, a leaf winning a weight tie.
+/// Internal weights come out nondecreasing, so the FIFO front is always
+/// the lightest internal node, and every merge takes the same two nodes a
+/// min-heap keyed on `(weight, tiebreak)` would — with a leaf's tiebreak
+/// its symbol and the k-th internal node's `counts.len() + k`, larger
+/// than every symbol. The tree, and so every length, is that heap's
+/// (deterministic across runs, and checked against it in the tests).
+fn build_code_lengths(counts: &[u64]) -> (Vec<u8>, u32) {
+    let mut leaves: Vec<(u64, u32)> = counts
         .iter()
         .enumerate()
         .filter(|(_, &c)| c > 0)
-        .map(|(s, _)| s as u32)
+        .map(|(s, &c)| (c, s as u32))
         .collect();
     let mut lens = vec![0u8; counts.len()];
-    match used.len() {
-        0 => return lens,
+    match leaves.len() {
+        0 => return (lens, 0),
         1 => {
             // A lone symbol still needs one bit so the stream is decodable.
-            lens[used[0] as usize] = 1;
-            return lens;
+            lens[leaves[0].1 as usize] = 1;
+            return (lens, 1);
         }
         _ => {}
     }
+    leaves.sort_unstable();
 
-    // Internal tree: nodes 0..used.len() are leaves; parents appended after.
-    let n_leaves = used.len();
-    let mut parent = vec![u32::MAX; n_leaves];
-    let mut heap = BinaryHeap::with_capacity(n_leaves);
-    for (i, &sym) in used.iter().enumerate() {
-        heap.push(Item {
-            weight: counts[sym as usize],
-            tiebreak: sym,
-            node: i as u32,
-        });
-    }
-    let mut next_tiebreak = counts.len() as u32;
-    while heap.len() > 1 {
-        let a = heap.pop().expect("heap len checked");
-        let b = heap.pop().expect("heap len checked");
-        let p = parent.len() as u32;
-        parent.push(u32::MAX);
-        parent[a.node as usize] = p;
-        parent[b.node as usize] = p;
-        heap.push(Item {
-            weight: a.weight + b.weight,
-            tiebreak: next_tiebreak,
-            node: p,
-        });
-        next_tiebreak += 1;
-    }
-    // Depth of each leaf = number of parent hops to the root.
-    let mut depth = vec![0u8; parent.len()];
-    // Parents were appended in increasing order, so children always have
-    // larger parent indices... actually parents have *larger* indices than
-    // children; walk from the last node (root) downward.
-    for node in (0..parent.len()).rev() {
-        let p = parent[node];
-        if p != u32::MAX {
-            depth[node] = depth[p as usize] + 1;
+    // Nodes 0..n are the sorted leaves; internal node k is node n + k.
+    let n = leaves.len();
+    let mut parent = vec![0u32; 2 * n - 1];
+    let mut weight = Vec::with_capacity(n - 1);
+    let (mut leaf, mut queued) = (0usize, 0usize);
+    for k in 0..n - 1 {
+        let node = n + k;
+        let mut sum = 0u64;
+        for _ in 0..2 {
+            let take_leaf = leaf < n && (queued == k || leaves[leaf].0 <= weight[queued]);
+            let child = if take_leaf {
+                sum += leaves[leaf].0;
+                leaf += 1;
+                leaf - 1
+            } else {
+                sum += weight[queued];
+                queued += 1;
+                n + queued - 1
+            };
+            parent[child] = node as u32;
         }
+        weight.push(sum);
     }
-    for (i, &sym) in used.iter().enumerate() {
-        lens[sym as usize] = depth[i];
+    // Depth of each node = number of parent hops to the root. Parents
+    // have larger indices than their children, so walk down from the
+    // root (the last node).
+    let mut depth = vec![0u8; 2 * n - 1];
+    for node in (0..2 * n - 2).rev() {
+        depth[node] = depth[parent[node] as usize] + 1;
     }
-    lens
+    let mut max = 0u32;
+    for (&(_, sym), &d) in leaves.iter().zip(&depth) {
+        lens[sym as usize] = d;
+        max = max.max(u32::from(d));
+    }
+    (lens, max)
 }
 
 #[cfg(test)]
@@ -660,8 +667,8 @@ mod tests {
                     continue;
                 }
                 let (la, lb) = (codec.lens[a as usize], codec.lens[b as usize]);
-                let ca = reverse_bits(codec.wire[a as usize], la as u32);
-                let cb = reverse_bits(codec.wire[b as usize], lb as u32);
+                let ca = reverse_bits(codec.entries[a as usize] as u32, la as u32);
+                let cb = reverse_bits(codec.entries[b as usize] as u32, lb as u32);
                 if la <= lb {
                     assert_ne!(
                         ca,
@@ -773,7 +780,7 @@ mod tests {
         let mut pos = 0;
         let codec2 = HuffmanCodec::read_table(&table, &mut pos).unwrap();
         assert_eq!(codec.lens, codec2.lens);
-        assert_eq!(codec.wire, codec2.wire);
+        assert_eq!(codec.entries, codec2.entries);
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! assert_eq!(back, symbols);
 //! ```
 
-use crate::bitio::{BitReader, BitWriter};
-use crate::huffman::HuffmanCodec;
+use crate::bitio::BitReader;
+use crate::huffman::{DecodeTables, HuffmanCodec};
 use crate::simd::{self, SimdLevel};
 use crate::varint;
 use crate::CodecError;
@@ -55,45 +55,220 @@ pub const MAX_STREAMS: usize = 8;
 /// what lets it sustain more than one symbol per refill.
 pub const HUFF_STREAMS: usize = 4;
 
+// The lane counters that size these streams exactly
+// (`freq::count_dense_lanes`, `freq::count_bytes_lanes`) are four wide.
+const _: () = assert!(HUFF_STREAMS == 4);
+
+/// A symbol the interleaved encoder reads: a `u32` code of a wide
+/// alphabet or a byte. Bytes are read as they are, never widened into a
+/// `u32` buffer first.
+pub trait Symbol: Copy {
+    /// Index of the symbol in the codec's alphabet.
+    fn index(self) -> usize;
+}
+
+impl Symbol for u32 {
+    #[inline(always)]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl Symbol for u8 {
+    #[inline(always)]
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+}
+
 /// Encode `symbols` round-robin into `n_streams` interleaved bitstreams
 /// sharing `codec`. The codec's table is *not* serialized here — callers
 /// frame it separately (see [`HuffmanCodec::write_table`]).
 ///
+/// Sizes the streams with [`stream_bits`], then writes them with
+/// [`encode_sized`].
+///
 /// # Panics
 /// Panics if `n_streams` is 0 or exceeds [`MAX_STREAMS`], or if a symbol
-/// has no code (absent from the frequency table the codec was built from).
-pub fn encode(symbols: &[u32], codec: &HuffmanCodec, n_streams: usize) -> Vec<u8> {
+/// is outside the codec's alphabet.
+pub fn encode<S: Symbol>(symbols: &[S], codec: &HuffmanCodec, n_streams: usize) -> Vec<u8> {
+    let bits = stream_bits(symbols, codec, n_streams);
+    let mut out = Vec::with_capacity(encoded_len(&bits));
+    encode_sized(symbols, codec, &bits, &mut out);
+    out
+}
+
+/// Bit length of each of the `n_streams` round-robin streams [`encode`]
+/// writes for `symbols`: one pass summing code lengths per stream.
+///
+/// # Panics
+/// As [`encode`].
+pub fn stream_bits<S: Symbol>(symbols: &[S], codec: &HuffmanCodec, n_streams: usize) -> Vec<u64> {
+    check_streams(n_streams);
+    let entries = codec.entries();
+    match n_streams {
+        1 => lane_bits::<S, 1>(symbols, entries).to_vec(),
+        2 => lane_bits::<S, 2>(symbols, entries).to_vec(),
+        3 => lane_bits::<S, 3>(symbols, entries).to_vec(),
+        4 => lane_bits::<S, 4>(symbols, entries).to_vec(),
+        5 => lane_bits::<S, 5>(symbols, entries).to_vec(),
+        6 => lane_bits::<S, 6>(symbols, entries).to_vec(),
+        7 => lane_bits::<S, 7>(symbols, entries).to_vec(),
+        _ => lane_bits::<S, 8>(symbols, entries).to_vec(),
+    }
+}
+
+/// Exact length in bytes of the blob whose streams hold `stream_bits`
+/// bits each: the stream-count byte, one length varint per stream, and
+/// each stream padded to a byte.
+pub fn encoded_len(stream_bits: &[u64]) -> usize {
+    1 + stream_bits
+        .iter()
+        .map(|&b| {
+            let bytes = b.div_ceil(8);
+            varint::len_u64(bytes) + bytes as usize
+        })
+        .sum::<usize>()
+}
+
+/// Append to `out` the blob [`encode`] writes, with one stream per entry
+/// of `stream_bits`, which must hold each stream's exact bit length (from
+/// [`stream_bits`], or from per-stream symbol counts through
+/// [`HuffmanCodec::encoded_lane_bits`] or [`HuffmanCodec::encoded_bits`]).
+/// The blob is laid out in full before the first bit, and no stream is
+/// copied after it is coded.
+///
+/// # Panics
+/// Panics if `stream_bits.len()` is 0 or exceeds [`MAX_STREAMS`], if a
+/// symbol is outside the codec's alphabet, or if `stream_bits` is not
+/// the streams' true bit lengths.
+pub fn encode_sized<S: Symbol>(
+    symbols: &[S],
+    codec: &HuffmanCodec,
+    stream_bits: &[u64],
+    out: &mut Vec<u8>,
+) {
+    let n = stream_bits.len();
+    check_streams(n);
+    out.reserve(encoded_len(stream_bits));
+    out.push(n as u8);
+    let mut ends = [0usize; MAX_STREAMS];
+    let mut total = 0usize;
+    for (k, &b) in stream_bits.iter().enumerate() {
+        let bytes = b.div_ceil(8);
+        varint::write_u64(out, bytes);
+        total += bytes as usize;
+        ends[k] = total;
+    }
+    let start = out.len();
+    out.resize(start + total, 0);
+    let buf = &mut out[start..];
+    let entries = codec.entries();
+    let ends_written = match n {
+        1 => encode_lanes::<S, 1>(symbols, entries, buf, &ends).to_vec(),
+        2 => encode_lanes::<S, 2>(symbols, entries, buf, &ends).to_vec(),
+        3 => encode_lanes::<S, 3>(symbols, entries, buf, &ends).to_vec(),
+        4 => encode_lanes::<S, 4>(symbols, entries, buf, &ends).to_vec(),
+        5 => encode_lanes::<S, 5>(symbols, entries, buf, &ends).to_vec(),
+        6 => encode_lanes::<S, 6>(symbols, entries, buf, &ends).to_vec(),
+        7 => encode_lanes::<S, 7>(symbols, entries, buf, &ends).to_vec(),
+        _ => encode_lanes::<S, 8>(symbols, entries, buf, &ends).to_vec(),
+    };
+    assert_eq!(
+        ends_written,
+        ends[..n],
+        "stream_bits disagrees with the symbols' code lengths"
+    );
+}
+
+fn check_streams(n_streams: usize) {
     assert!(
         (1..=MAX_STREAMS).contains(&n_streams),
         "n_streams {n_streams} out of 1..={MAX_STREAMS}"
     );
-    let mut writers: Vec<BitWriter> = (0..n_streams)
-        .map(|_| BitWriter::with_capacity(symbols.len() / (2 * n_streams) + 8))
-        .collect();
-    // Two "rows" of the round-robin at a time: symbols i and i + n go to
-    // the same stream, so each writer takes a two-code packed write per
-    // iteration (2 × 28 bits max fits one `write_bits` call) — the same
-    // bookkeeping-halving trick as `HuffmanCodec::encode`.
-    let mut chunks = symbols.chunks_exact(2 * n_streams);
-    for chunk in &mut chunks {
-        for (k, w) in writers.iter_mut().enumerate() {
-            codec.encode_pair(chunk[k], chunk[k + n_streams], w);
+}
+
+/// Per-stream sums of code lengths: symbol `i` counts toward stream
+/// `i mod N`.
+fn lane_bits<S: Symbol, const N: usize>(symbols: &[S], entries: &[u64]) -> [u64; N] {
+    let mut bits = [0u64; N];
+    let mut rounds = symbols.chunks_exact(N);
+    for round in &mut rounds {
+        for k in 0..N {
+            bits[k] += entries[round[k].index()] >> 32;
         }
     }
-    for (i, &s) in chunks.remainder().iter().enumerate() {
-        codec.encode_one(s, &mut writers[i % n_streams]);
+    for (k, s) in rounds.remainder().iter().enumerate() {
+        bits[k] += entries[s.index()] >> 32;
     }
-    let streams: Vec<Vec<u8>> = writers.into_iter().map(BitWriter::finish).collect();
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total + n_streams * 5 + 1);
-    out.push(n_streams as u8);
-    for s in &streams {
-        varint::write_u64(&mut out, s.len() as u64);
+    bits
+}
+
+/// The encoder body: `N` streams, each with its accumulator, bit count
+/// and write position in locals, stream `k` owning
+/// `buf[ends[k − 1]..ends[k]]`. Symbols `i` and `i + N` of each round of
+/// `2N` go to stream `i` as one packed write (2 × 28 bits plus at most 7
+/// pending fits the 64-bit accumulator); the tail shorter than a round
+/// goes out one symbol at a time, symbol `j` to stream `j mod N`.
+/// Returns where each stream ended.
+fn encode_lanes<S: Symbol, const N: usize>(
+    symbols: &[S],
+    entries: &[u64],
+    buf: &mut [u8],
+    ends: &[usize; MAX_STREAMS],
+) -> [usize; N] {
+    let mut pos = [0usize; N];
+    pos[1..].copy_from_slice(&ends[..N - 1]);
+    let mut acc = [0u64; N];
+    let mut nbits = [0u32; N];
+    let mut rounds = symbols.chunks_exact(2 * N);
+    for round in &mut rounds {
+        for k in 0..N {
+            let e0 = entries[round[k].index()];
+            let e1 = entries[round[k + N].index()];
+            let (w0, l0) = (e0 & WIRE_MASK, (e0 >> 32) as u32);
+            let (w1, l1) = (e1 & WIRE_MASK, (e1 >> 32) as u32);
+            put(buf, ends[k], &mut pos[k], &mut acc[k], &mut nbits[k], w0 | w1 << l0, l0 + l1);
+        }
     }
-    for s in &streams {
-        out.extend_from_slice(s);
+    for (j, s) in rounds.remainder().iter().enumerate() {
+        let k = j % N;
+        let e = entries[s.index()];
+        put(buf, ends[k], &mut pos[k], &mut acc[k], &mut nbits[k], e & WIRE_MASK, (e >> 32) as u32);
     }
-    out
+    for k in 0..N {
+        if nbits[k] > 0 {
+            // The final partial byte, zero-padded.
+            buf[pos[k]] = acc[k] as u8;
+            pos[k] += 1;
+        }
+    }
+    pos
+}
+
+/// Low 32 bits of a packed [`HuffmanCodec::entries`] entry: the wire code.
+const WIRE_MASK: u64 = u32::MAX as u64;
+
+/// Append `n` bits to one stream and drain its whole bytes. The
+/// accumulator goes out as one fixed 8-byte little-endian store, the
+/// bytes past the whole ones being overwritten by the stream's next
+/// store; within 8 bytes of the stream's `end` only the whole bytes are
+/// stored, so no store reaches into the next stream.
+#[inline(always)]
+fn put(buf: &mut [u8], end: usize, pos: &mut usize, acc: &mut u64, nbits: &mut u32, bits: u64, n: u32) {
+    *acc |= bits << *nbits;
+    *nbits += n;
+    // At most 7 pending + 56 new bits: never a full 8 bytes.
+    let nbytes = (*nbits / 8) as usize;
+    let word = acc.to_le_bytes();
+    if *pos + 8 <= end {
+        buf[*pos..*pos + 8].copy_from_slice(&word);
+    } else {
+        buf[*pos..*pos + nbytes].copy_from_slice(&word[..nbytes]);
+    }
+    *pos += nbytes;
+    *acc >>= nbytes * 8;
+    *nbits &= 7;
 }
 
 /// Streaming decoder over an interleaved blob: construct once, then pull
@@ -162,12 +337,13 @@ impl<'a> InterleavedReader<'a> {
         n: usize,
         out: &mut Vec<u32>,
     ) -> Result<(), CodecError> {
+        let t = codec.tables();
         out.reserve(n);
         let ns = self.readers.len();
         let mut remaining = n;
         // Realign to stream 0 so the unrolled loops below start clean.
         while remaining > 0 && self.next != 0 {
-            let sym = codec.decode_one(&mut self.readers[self.next])?;
+            let sym = t.decode_one(&mut self.readers[self.next])?;
             out.push(sym);
             self.next = (self.next + 1) % ns;
             remaining -= 1;
@@ -177,14 +353,14 @@ impl<'a> InterleavedReader<'a> {
         match &mut self.readers[..] {
             [r0] => {
                 for _ in 0..remaining {
-                    out.push(codec.decode_one(r0)?);
+                    out.push(t.decode_one(r0)?);
                 }
                 remaining = 0;
             }
             [r0, r1] => {
                 while remaining >= 2 {
-                    let s0 = codec.decode_one(r0);
-                    let s1 = codec.decode_one(r1);
+                    let s0 = t.decode_one(r0);
+                    let s1 = t.decode_one(r1);
                     out.push(s0?);
                     out.push(s1?);
                     remaining -= 2;
@@ -208,7 +384,7 @@ impl<'a> InterleavedReader<'a> {
                     let mut buf = [0u32; 8];
                     while remaining >= 8 && q.fast_ready() {
                         q.refill();
-                        if let Err(e) = q.decode_round(codec, &mut buf) {
+                        if let Err(e) = q.decode_round(t, &mut buf) {
                             q.restore(r0, r1, r2, r3);
                             return Err(e);
                         }
@@ -218,10 +394,10 @@ impl<'a> InterleavedReader<'a> {
                     q.restore(r0, r1, r2, r3);
                 }
                 while remaining >= 4 {
-                    let s0 = codec.decode_one(r0);
-                    let s1 = codec.decode_one(r1);
-                    let s2 = codec.decode_one(r2);
-                    let s3 = codec.decode_one(r3);
+                    let s0 = t.decode_one(r0);
+                    let s1 = t.decode_one(r1);
+                    let s2 = t.decode_one(r2);
+                    let s3 = t.decode_one(r3);
                     out.push(s0?);
                     out.push(s1?);
                     out.push(s2?);
@@ -232,7 +408,7 @@ impl<'a> InterleavedReader<'a> {
             readers => {
                 while remaining >= ns {
                     for r in readers.iter_mut() {
-                        out.push(codec.decode_one(r)?);
+                        out.push(t.decode_one(r)?);
                     }
                     remaining -= ns;
                 }
@@ -240,7 +416,7 @@ impl<'a> InterleavedReader<'a> {
         }
         // Tail shorter than one round.
         while remaining > 0 {
-            let sym = codec.decode_one(&mut self.readers[self.next])?;
+            let sym = t.decode_one(&mut self.readers[self.next])?;
             out.push(sym);
             self.next = (self.next + 1) % ns;
             remaining -= 1;
@@ -340,15 +516,15 @@ impl<'b> QuadState<'b> {
     /// one fast round). On error the lanes keep their partial progress so
     /// [`QuadState::restore`] reflects exactly what was consumed.
     #[inline]
-    fn decode_round(&mut self, codec: &HuffmanCodec, buf: &mut [u32; 8]) -> Result<(), CodecError> {
-        buf[0] = codec.decode_one_raw(&mut self.acc[0], &mut self.nbits[0])?;
-        buf[1] = codec.decode_one_raw(&mut self.acc[1], &mut self.nbits[1])?;
-        buf[2] = codec.decode_one_raw(&mut self.acc[2], &mut self.nbits[2])?;
-        buf[3] = codec.decode_one_raw(&mut self.acc[3], &mut self.nbits[3])?;
-        buf[4] = codec.decode_one_raw(&mut self.acc[0], &mut self.nbits[0])?;
-        buf[5] = codec.decode_one_raw(&mut self.acc[1], &mut self.nbits[1])?;
-        buf[6] = codec.decode_one_raw(&mut self.acc[2], &mut self.nbits[2])?;
-        buf[7] = codec.decode_one_raw(&mut self.acc[3], &mut self.nbits[3])?;
+    fn decode_round(&mut self, t: &DecodeTables, buf: &mut [u32; 8]) -> Result<(), CodecError> {
+        buf[0] = t.decode_one_raw(&mut self.acc[0], &mut self.nbits[0])?;
+        buf[1] = t.decode_one_raw(&mut self.acc[1], &mut self.nbits[1])?;
+        buf[2] = t.decode_one_raw(&mut self.acc[2], &mut self.nbits[2])?;
+        buf[3] = t.decode_one_raw(&mut self.acc[3], &mut self.nbits[3])?;
+        buf[4] = t.decode_one_raw(&mut self.acc[0], &mut self.nbits[0])?;
+        buf[5] = t.decode_one_raw(&mut self.acc[1], &mut self.nbits[1])?;
+        buf[6] = t.decode_one_raw(&mut self.acc[2], &mut self.nbits[2])?;
+        buf[7] = t.decode_one_raw(&mut self.acc[3], &mut self.nbits[3])?;
         Ok(())
     }
 }

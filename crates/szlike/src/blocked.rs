@@ -46,7 +46,7 @@ use crate::predictor::{Predictor, PredictorKind, PredictorModel, REGRESSION_COEF
 use crate::select;
 use losslesskit::crc32::crc32;
 use losslesskit::huffman::HuffmanCodec;
-use losslesskit::{mshuf, range, varint};
+use losslesskit::{freq, mshuf, range, varint};
 use ndfield::{Field, Scalar, Shape};
 use std::borrow::Cow;
 use std::sync::Mutex;
@@ -140,11 +140,7 @@ fn encode_block<T: Scalar>(
     model: PredictorModel,
     per_block_header: bool,
 ) -> BlockBits {
-    let stream = match codec {
-        Some(c) => mshuf::encode(codes, c, mshuf::HUFF_STREAMS),
-        None => range::range_encode(codes, bins),
-    };
-    let mut body = Vec::with_capacity(stream.len() + unpred.len() * T::BYTES + 16);
+    let mut body = Vec::new();
     if per_block_header {
         // v5 per-block predictor prefix: tag byte, then the fitted
         // coefficients for regression. It lives inside the block payload so
@@ -153,12 +149,30 @@ fn encode_block<T: Scalar>(
         body.push(model.tag());
         body.extend_from_slice(&model.coeff_bytes());
     }
-    varint::write_u64(&mut body, stream.len() as u64);
-    body.extend_from_slice(&stream);
+    let escapes_cap = unpred.len() * T::BYTES + 16;
+    let stream_len = match codec {
+        Some(c) => {
+            // One length pass sizes the block's streams exactly; they are
+            // coded straight into the payload.
+            let bits = mshuf::stream_bits(codes, c, mshuf::HUFF_STREAMS);
+            let len = mshuf::encoded_len(&bits);
+            body.reserve_exact(len + escapes_cap + 10);
+            varint::write_u64(&mut body, len as u64);
+            mshuf::encode_sized(codes, c, &bits, &mut body);
+            len
+        }
+        None => {
+            let stream = range::range_encode(codes, bins);
+            body.reserve_exact(stream.len() + escapes_cap + 10);
+            varint::write_u64(&mut body, stream.len() as u64);
+            body.extend_from_slice(&stream);
+            stream.len()
+        }
+    };
     varint::write_u64(&mut body, unpred.len() as u64);
     write_escapes(&mut body, unpred, cfg.escape, eb);
     BlockBits {
-        stream_len: stream.len(),
+        stream_len,
         n_unpred: unpred.len(),
         payload: body,
     }
@@ -260,12 +274,8 @@ pub(crate) fn compress_blocked<T: Scalar>(
     let merge_span = fpsnr_obs::span("sz.block.merge");
     let (codec, table) = match cfg.entropy {
         EntropyCoder::Huffman => {
-            let mut counts = vec![0u64; bins];
-            for (_, w) in &walks {
-                for &c in &w.codes {
-                    counts[c as usize] += 1;
-                }
-            }
+            let parts: Vec<&[u32]> = walks.iter().map(|(_, w)| &w.codes[..]).collect();
+            let counts = freq::count_dense_parts(&parts, bins);
             let codec = HuffmanCodec::from_counts(&counts);
             let mut table = Vec::new();
             codec.write_table(&mut table);

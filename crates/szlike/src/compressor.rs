@@ -296,27 +296,38 @@ fn compress_quantized<T: Scalar>(
     // default since container v3) or the adaptive range coder (stage 1).
     // Monolithic single-stream Huffman (stage 0) is decode-only legacy.
     let encode_span = fpsnr_obs::span("sz.encode");
-    let mut body = Vec::with_capacity(walk.codes.len() / 2 + walk.unpred.len() * T::BYTES);
-    let (table_len, stream_len) = match cfg.entropy {
+    let escapes_cap = walk.unpred.len() * T::BYTES + 16;
+    let (mut body, table_len, stream_len) = match cfg.entropy {
         EntropyCoder::Huffman => {
-            let counts = freq::count_dense(&walk.codes, bins);
-            let codec = HuffmanCodec::from_counts(&counts);
+            // Counted by lane: lane k holds the symbols of stream k.
+            let count_span = fpsnr_obs::span("sz.encode.count");
+            let lanes = freq::count_dense_lanes(&walk.codes, bins);
+            drop(count_span);
+            let table_span = fpsnr_obs::span("sz.encode.table");
+            let codec = HuffmanCodec::from_counts(&freq::merge_dense_lanes(&lanes));
             let mut table = Vec::new();
             codec.write_table(&mut table);
-            let blob = mshuf::encode(&walk.codes, &codec, mshuf::HUFF_STREAMS);
+            drop(table_span);
+            // The lanes size the code stream exactly; it is then coded
+            // straight into the body behind the table.
+            let _stream_span = fpsnr_obs::span("sz.encode.stream");
+            let bits = codec.encoded_lane_bits(&lanes);
+            let stream_len = mshuf::encoded_len(&bits);
+            let mut body = Vec::with_capacity(table.len() + stream_len + escapes_cap + 21);
             body.push(2u8);
             varint::write_u64(&mut body, table.len() as u64);
             body.extend_from_slice(&table);
-            varint::write_u64(&mut body, blob.len() as u64);
-            body.extend_from_slice(&blob);
-            (table.len(), blob.len())
+            varint::write_u64(&mut body, stream_len as u64);
+            mshuf::encode_sized(&walk.codes, &codec, &bits, &mut body);
+            (body, table.len(), stream_len)
         }
         EntropyCoder::Range => {
             let stream = range::range_encode(&walk.codes, bins);
+            let mut body = Vec::with_capacity(stream.len() + escapes_cap + 11);
             body.push(1u8);
             varint::write_u64(&mut body, stream.len() as u64);
             body.extend_from_slice(&stream);
-            (0, stream.len())
+            (body, 0, stream.len())
         }
     };
     varint::write_u64(&mut body, walk.unpred.len() as u64);
