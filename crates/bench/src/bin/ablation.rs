@@ -59,8 +59,14 @@ fn main() {
     // One representative smooth and one spiky field.
     let atm = dataset_fields(DatasetId::Atm, Resolution::Default, seed);
     let cases: Vec<(&str, &Field<f32>)> = vec![
-        ("TS (smooth 2-D)", &atm.iter().find(|f| f.0 == "TS").unwrap().1),
-        ("PRECT (sparse 2-D)", &atm.iter().find(|f| f.0 == "PRECT").unwrap().1),
+        (
+            "TS (smooth 2-D)",
+            &atm.iter().find(|f| f.0 == "TS").unwrap().1,
+        ),
+        (
+            "PRECT (sparse 2-D)",
+            &atm.iter().find(|f| f.0 == "PRECT").unwrap().1,
+        ),
     ];
     let ebrel = 1e-3;
 
@@ -74,7 +80,11 @@ fn main() {
             &[
                 run_sz(field, "fixed 65536 bins (cap)", &base),
                 run_sz(field, "fixed 256 bins", &base.with_quant_bins(256)),
-                run_sz(field, "adaptive (predThreshold 0.97)", &base.with_auto_intervals(true)),
+                run_sz(
+                    field,
+                    "adaptive (predThreshold 0.97)",
+                    &base.with_auto_intervals(true),
+                ),
             ],
         );
 
@@ -86,7 +96,9 @@ fn main() {
                 run_sz(
                     field,
                     "adaptive range coder",
-                    &base.with_auto_intervals(true).with_entropy(EntropyCoder::Range),
+                    &base
+                        .with_auto_intervals(true)
+                        .with_entropy(EntropyCoder::Range),
                 ),
             ],
         );
@@ -96,8 +108,16 @@ fn main() {
             field,
             &[
                 run_sz(field, "Lorenzo order 1 (SZ 1.4)", &base),
-                run_sz(field, "Lorenzo order 2", &base.with_predictor(PredictorKind::Lorenzo2)),
-                run_sz(field, "auto-selected", &base.with_predictor(PredictorKind::Auto)),
+                run_sz(
+                    field,
+                    "Lorenzo order 2",
+                    &base.with_predictor(PredictorKind::Lorenzo2),
+                ),
+                run_sz(
+                    field,
+                    "auto-selected",
+                    &base.with_predictor(PredictorKind::Auto),
+                ),
             ],
         );
 
@@ -107,7 +127,11 @@ fn main() {
             field,
             &[
                 run_sz(field, "exact IEEE escapes", &tiny),
-                run_sz(field, "SZ 1.4 truncated escapes", &tiny.with_escape(EscapeCoding::Truncated)),
+                run_sz(
+                    field,
+                    "SZ 1.4 truncated escapes",
+                    &tiny.with_escape(EscapeCoding::Truncated),
+                ),
             ],
         );
 

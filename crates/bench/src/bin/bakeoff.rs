@@ -58,15 +58,18 @@ fn gate(baked: usize, deflate: usize) -> bool {
 
 fn run_corpus(name: &'static str, data: &[u8], reps: usize) -> CorpusResult {
     let effort = Effort::Default;
-    let (encode_s, (baked, stats)) =
-        time_best(reps, || bakeoff::compress_with_stats(data, effort));
+    let (encode_s, (baked, stats)) = time_best(reps, || bakeoff::compress_with_stats(data, effort));
     let deflate = bakeoff::compress_forced(data, effort, Backend::Deflate);
     let (decode_s, back) = time_best(reps, || {
         bakeoff::decompress_bounded(&baked, data.len()).unwrap()
     });
     assert_eq!(back.as_ref(), data, "{name}: bake-off round-trip mismatch");
     let deflate_back = bakeoff::decompress_bounded(&deflate, data.len()).unwrap();
-    assert_eq!(deflate_back.as_ref(), data, "{name}: forced-DEFLATE round-trip mismatch");
+    assert_eq!(
+        deflate_back.as_ref(),
+        data,
+        "{name}: forced-DEFLATE round-trip mismatch"
+    );
     CorpusResult {
         name,
         raw_bytes: data.len(),
@@ -88,8 +91,7 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
-    let out_path =
-        std::env::var("FPSNR_OUT").unwrap_or_else(|_| "BENCH_bakeoff.json".to_string());
+    let out_path = std::env::var("FPSNR_OUT").unwrap_or_else(|_| "BENCH_bakeoff.json".to_string());
 
     let grf: Vec<f32> = grf_3d(dim, dim, dim, 3.0, 20180713)
         .into_iter()

@@ -25,7 +25,11 @@ fn main() {
 
     for id in DatasetId::ALL {
         let fields = dataset_fields(id, res, seed);
-        println!("--- {} ({} fields, first 2 shown per target) ---", id.name(), fields.len());
+        println!(
+            "--- {} ({} fields, first 2 shown per target) ---",
+            id.name(),
+            fields.len()
+        );
         println!(
             "{:>8} {:<20} {:>10} {:>10} {:>9} {:>12}",
             "target", "field", "predicted", "measured", "dev dB", "bins used"

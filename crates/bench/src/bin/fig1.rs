@@ -33,7 +33,10 @@ fn main() {
     let hist = Histogram::new(errors.iter().copied(), -span, span, 64);
 
     println!("FIGURE 1: prediction-error distribution with uniform quantization");
-    println!("field CLDHGH ({}), eb_rel {ebrel}, eb_abs {eb_abs:.4e}, bin size 2eb = {delta:.4e}", nf.data.shape());
+    println!(
+        "field CLDHGH ({}), eb_rel {ebrel}, eb_abs {eb_abs:.4e}, bin size 2eb = {delta:.4e}",
+        nf.data.shape()
+    );
     println!(
         "samples {} | in-window {} | outside window {}",
         errors.len(),
@@ -42,8 +45,13 @@ fn main() {
     );
     println!();
 
-    let max_frac = (0..hist.bins()).map(|i| hist.fraction(i)).fold(0.0, f64::max);
-    println!("{:>12}  {:>9}  distribution (quantization-bin edges marked '|')", "err/delta", "fraction");
+    let max_frac = (0..hist.bins())
+        .map(|i| hist.fraction(i))
+        .fold(0.0, f64::max);
+    println!(
+        "{:>12}  {:>9}  distribution (quantization-bin edges marked '|')",
+        "err/delta", "fraction"
+    );
     for i in 0..hist.bins() {
         let mid = hist.midpoint(i);
         let frac = hist.fraction(i);

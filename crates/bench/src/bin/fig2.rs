@@ -32,9 +32,7 @@ fn main() {
             threads,
         );
         println!();
-        println!(
-            "--- panel {panel}: user-set PSNR = {target} dB (red dash line of the paper) ---"
-        );
+        println!("--- panel {panel}: user-set PSNR = {target} dB (red dash line of the paper) ---");
         // The paper plots a per-field series; print it four fields per row.
         for chunk in outcomes.chunks(4) {
             let row: Vec<String> = chunk
@@ -51,8 +49,6 @@ fn main() {
             summary.avg,
             summary.stdev
         );
-        println!(
-            "  paper claim at this panel: fields cluster on the target line; >90% meet it"
-        );
+        println!("  paper claim at this panel: fields cluster on the target line; >90% meet it");
     }
 }

@@ -94,8 +94,7 @@ fn main() {
     };
     let dim = knob("FPSNR_GRF_DIM", 64);
     let reps = knob("FPSNR_REPS", 3).max(1);
-    let out_path =
-        std::env::var("FPSNR_OUT").unwrap_or_else(|_| "BENCH_hotloop.json".to_string());
+    let out_path = std::env::var("FPSNR_OUT").unwrap_or_else(|_| "BENCH_hotloop.json".to_string());
 
     let detected = simd::detect();
     let levels: Vec<SimdLevel> = SimdLevel::ALL

@@ -81,8 +81,8 @@ fn main() {
 
     // fixed-PSNR sweep: PSNR pinned, rate floats.
     for target in [40.0f64, 60.0, 80.0] {
-        let run = compress_fixed_psnr(field, target, &FixedPsnrOptions::default())
-            .expect("compress");
+        let run =
+            compress_fixed_psnr(field, target, &FixedPsnrOptions::default()).expect("compress");
         let back: Field<f32> = szlike::decompress(&run.bytes).expect("decompress");
         let (ratio, psnr, maxrel) = measure(field, &back, run.bytes.len());
         println!(

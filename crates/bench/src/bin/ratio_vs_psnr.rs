@@ -39,8 +39,8 @@ fn main() {
             // Aggregate ratio over the snapshot: harmonic-style combine via
             // total bytes would need sizes; mean of per-field ratios is the
             // headline number papers quote.
-            let mean_ratio: f64 = outcomes.iter().map(|o| o.ratio).sum::<f64>()
-                / outcomes.len().max(1) as f64;
+            let mean_ratio: f64 =
+                outcomes.iter().map(|o| o.ratio).sum::<f64>() / outcomes.len().max(1) as f64;
             let bits = 32.0 / mean_ratio;
             row.push(mean_ratio);
             print!(" | {mean_ratio:>10.2} {bits:>9.3}");

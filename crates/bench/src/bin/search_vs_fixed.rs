@@ -24,13 +24,20 @@ fn main() {
     let seed = seed_from_env();
     let tolerance_db = 3.0;
     fpsnr_obs::enable();
-    println!(
-        "SEARCH vs FIXED-PSNR ({res:?}, tolerance +{tolerance_db} dB, 2 fields per data set)"
-    );
+    println!("SEARCH vs FIXED-PSNR ({res:?}, tolerance +{tolerance_db} dB, 2 fields per data set)");
     println!();
     println!(
         "{:<10} {:<20} {:>6} | {:>8} {:>8} {:>9} | {:>8} {:>8} {:>9} | {:>7}",
-        "dataset", "field", "target", "fix PSNR", "fix inv", "fix ms", "srch PSNR", "srch inv", "srch ms", "speedup"
+        "dataset",
+        "field",
+        "target",
+        "fix PSNR",
+        "fix inv",
+        "fix ms",
+        "srch PSNR",
+        "srch inv",
+        "srch ms",
+        "speedup"
     );
     println!("{}", "-".repeat(118));
 
@@ -41,16 +48,15 @@ fn main() {
         for (name, field) in fields.iter().take(2) {
             for target in [40.0, 80.0] {
                 let t0 = Instant::now();
-                let Ok(fixed) =
-                    compress_fixed_psnr(field, target, &FixedPsnrOptions::default())
+                let Ok(fixed) = compress_fixed_psnr(field, target, &FixedPsnrOptions::default())
                 else {
                     continue;
                 };
                 let fixed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
                 let t1 = Instant::now();
-                let search = search_to_target_psnr(field, target, tolerance_db, 30)
-                    .expect("search");
+                let search =
+                    search_to_target_psnr(field, target, tolerance_db, 30).expect("search");
                 let search_ms = t1.elapsed().as_secs_f64() * 1e3;
 
                 total_fixed_inv += 1;

@@ -22,9 +22,7 @@ fn main() {
     let threads = threads_from_env();
     let opts = FixedPsnrOptions::default();
 
-    println!(
-        "TABLE II: fixed-PSNR accuracy on NYX / ATM / Hurricane ({res:?}, seed {seed})"
-    );
+    println!("TABLE II: fixed-PSNR accuracy on NYX / ATM / Hurricane ({res:?}, seed {seed})");
     println!();
     let datasets: Vec<(DatasetId, Vec<(String, ndfield::Field<f32>)>)> = DatasetId::ALL
         .iter()
@@ -80,9 +78,7 @@ fn main() {
     let dev_at = |rows: &[(f64, Vec<DatasetSummary>)], t: f64| -> f64 {
         rows.iter()
             .find(|(target, _)| *target == t)
-            .map(|(_, row)| {
-                row.iter().map(|s| (s.avg - t).abs()).sum::<f64>() / row.len() as f64
-            })
+            .map(|(_, row)| row.iter().map(|s| (s.avg - t).abs()).sum::<f64>() / row.len() as f64)
             .unwrap_or(f64::NAN)
     };
     let low = dev_at(&all_rows, 20.0);
@@ -92,16 +88,20 @@ fn main() {
          (paper: deviation shrinks as the target grows) -> {}",
         if high < low { "HOLDS" } else { "VIOLATED" }
     );
-    let within = all_rows.iter().filter(|(t, _)| *t >= 40.0).all(|(t, row)| {
-        row.iter().all(|s| (s.avg - t).abs() <= 6.0)
-    });
+    let within = all_rows
+        .iter()
+        .filter(|(t, _)| *t >= 40.0)
+        .all(|(t, row)| row.iter().all(|s| (s.avg - t).abs() <= 6.0));
     println!(
         "  2. every AVG within the paper's 0.1-5.0 dB band at 40+ dB targets \
          (6 dB slack) -> {}",
         if within { "HOLDS" } else { "VIOLATED" }
     );
     if let Some((_, row20)) = all_rows.iter().find(|(t, _)| *t == 20.0) {
-        let devs: Vec<String> = row20.iter().map(|s| format!("{:+.1}", s.avg - 20.0)).collect();
+        let devs: Vec<String> = row20
+            .iter()
+            .map(|s| format!("{:+.1}", s.avg - 20.0))
+            .collect();
         println!(
             "     (20 dB row overshoots by {devs:?} dB — same direction as the paper's \
              +4.3/+1.9/+5.0, amplified by the scaled grids; see EXPERIMENTS.md)"

@@ -72,7 +72,11 @@ fn main() {
     println!();
     println!(
         "Theorem 1: worst relative difference {worst_t1:.2e} -> {}",
-        if worst_t1 < 1e-6 { "HOLDS (exact up to f32 rounding)" } else { "HOLDS approximately" }
+        if worst_t1 < 1e-6 {
+            "HOLDS (exact up to f32 rounding)"
+        } else {
+            "HOLDS approximately"
+        }
     );
 
     println!();
@@ -116,6 +120,10 @@ fn main() {
     println!();
     println!(
         "Theorem 2: worst relative difference {worst_t2:.2e} -> {}",
-        if worst_t2 < 1e-9 { "HOLDS (orthonormal transform preserves l2)" } else { "CHECK" }
+        if worst_t2 < 1e-9 {
+            "HOLDS (orthonormal transform preserves l2)"
+        } else {
+            "CHECK"
+        }
     );
 }

@@ -16,10 +16,34 @@ pub struct Args {
 
 /// Flags that take a value, per command.
 const VALUE_FLAGS: &[&str] = &[
-    "--input", "-i", "--output", "-o", "--recon", "-r", "--type", "--dims", "--mode", "--bins",
-    "--dataset", "--res", "--psnr", "--seed", "--threads", "--block-size", "--out-dir",
-    "--profile", "--ratio", "--ratio-tol", "--chunks", "--region", "--addr", "--cache-mb",
-    "--predictor", "--budget", "--objective", "--manifest",
+    "--input",
+    "-i",
+    "--output",
+    "-o",
+    "--recon",
+    "-r",
+    "--type",
+    "--dims",
+    "--mode",
+    "--bins",
+    "--dataset",
+    "--res",
+    "--psnr",
+    "--seed",
+    "--threads",
+    "--block-size",
+    "--out-dir",
+    "--profile",
+    "--ratio",
+    "--ratio-tol",
+    "--chunks",
+    "--region",
+    "--addr",
+    "--cache-mb",
+    "--predictor",
+    "--budget",
+    "--objective",
+    "--manifest",
 ];
 /// Boolean switches.
 const SWITCHES: &[&str] = &["--no-lz", "--verify", "--quiet", "--transform"];

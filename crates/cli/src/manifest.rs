@@ -63,7 +63,8 @@ pub fn parse_manifest(text: &str) -> Result<Vec<ManifestField>, String> {
             }
         };
         let name = str_of("name")?.ok_or_else(|| format!("field {i}: missing \"name\""))?;
-        let path = str_of("path")?.ok_or_else(|| format!("field {i} ({name}): missing \"path\""))?;
+        let path =
+            str_of("path")?.ok_or_else(|| format!("field {i} ({name}): missing \"path\""))?;
         let dtype = str_of("type")?.unwrap_or_else(|| "f32".to_string());
         if dtype != "f32" && dtype != "f64" {
             return Err(format!(
@@ -179,10 +180,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected {:?} at byte {}", b as char, self.pos))
         }
     }
 
@@ -402,9 +400,9 @@ mod tests {
             "{",
             "[1, 2",
             r#"{"fields": 3}"#,
-            r#"{"fields": [{"path": "p", "dims": [4]}]}"#,      // no name
-            r#"{"fields": [{"name": "a", "dims": [4]}]}"#,      // no path
-            r#"{"fields": [{"name": "a", "path": "p"}]}"#,      // no dims
+            r#"{"fields": [{"path": "p", "dims": [4]}]}"#, // no name
+            r#"{"fields": [{"name": "a", "dims": [4]}]}"#, // no path
+            r#"{"fields": [{"name": "a", "path": "p"}]}"#, // no dims
             r#"{"fields": [{"name": "a", "path": "p", "dims": []}]}"#,
             r#"{"fields": [{"name": "a", "path": "p", "dims": [1,2,3,4]}]}"#,
             r#"{"fields": [{"name": "a", "path": "p", "dims": [0]}]}"#,

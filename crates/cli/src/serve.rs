@@ -256,8 +256,7 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), String> {
 /// into a single write; large ones go out as one vectored write loop over
 /// `(header ‖ status, body)`.
 fn write_response(stream: &mut TcpStream, status: u8, body: &[u8]) -> Result<(), String> {
-    let len =
-        u32::try_from(1 + body.len()).map_err(|_| "frame too large".to_string())?;
+    let len = u32::try_from(1 + body.len()).map_err(|_| "frame too large".to_string())?;
     let mut head = [0u8; 5];
     head[..4].copy_from_slice(&len.to_le_bytes());
     head[4] = status;
@@ -374,8 +373,8 @@ fn handle_connection(
         match op {
             OP_READ => {
                 let start = Instant::now();
-                let reply = parse_read(payload)
-                    .and_then(|region| store.read_region_framed(&region));
+                let reply =
+                    parse_read(payload).and_then(|region| store.read_region_framed(&region));
                 let micros = start.elapsed().as_micros() as u64;
                 latencies.lock().expect("latency lock").push(micros);
                 match reply {
@@ -496,7 +495,10 @@ pub fn client_read(stream: &mut TcpStream, axes: &[Range<usize>]) -> Result<Regi
     let expect = dims.iter().product::<usize>() * scalar_bytes as usize;
     let data = body[pos..].to_vec();
     if data.len() != expect {
-        return Err(format!("reply holds {} sample bytes, want {expect}", data.len()));
+        return Err(format!(
+            "reply holds {} sample bytes, want {expect}",
+            data.len()
+        ));
     }
     Ok(RegionReply {
         scalar_bytes,
@@ -546,19 +548,23 @@ mod tests {
         (field, bytes)
     }
 
-    fn spawn_server(bytes: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeReport>) {
+    fn spawn_server(
+        bytes: Vec<u8>,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeReport>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let store = AnyStore::open(bytes, StoreOptions::default()).unwrap();
-        let handle =
-            std::thread::spawn(move || run_server(listener, store).expect("server run"));
+        let handle = std::thread::spawn(move || run_server(listener, store).expect("server run"));
         (addr, handle)
     }
 
     #[test]
     fn serves_concurrent_region_reads_and_reconciles_counters() {
         let (field, bytes) = grid_bytes(24, 8);
-        let full: Vec<f32> = szlike::decompress::<f32>(&bytes).unwrap().as_slice().to_vec();
+        let full: Vec<f32> = szlike::decompress::<f32>(&bytes)
+            .unwrap()
+            .as_slice()
+            .to_vec();
         let (addr, handle) = spawn_server(bytes);
         let field_dims = field.shape().dims();
         assert_eq!(field_dims, vec![24, 24, 24]);
@@ -631,7 +637,9 @@ mod tests {
         let (_, bytes) = grid_bytes(16, 8);
         let (addr, handle) = spawn_server(bytes);
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
         // A 1 GiB length prefix and no payload: the server must refuse it
         // straight away, not allocate the buffer and wait for the bytes.
         stream.write_all(&(1u32 << 30).to_le_bytes()).unwrap();
@@ -674,7 +682,10 @@ mod tests {
         let field = Field::from_fn_2d(32, 32, |i, j| ((i * 32 + j) as f64).sqrt());
         let cfg = SzConfig::new(ErrorBound::Abs(1e-6)).with_chunk_dims([8, 8, 0]);
         let bytes = compress(&field, &cfg).unwrap();
-        let full: Vec<f64> = szlike::decompress::<f64>(&bytes).unwrap().as_slice().to_vec();
+        let full: Vec<f64> = szlike::decompress::<f64>(&bytes)
+            .unwrap()
+            .as_slice()
+            .to_vec();
         let (addr, handle) = spawn_server(bytes);
         let mut stream = TcpStream::connect(addr).unwrap();
         let reply = client_read(&mut stream, &[5..9, 20..32]).unwrap();
@@ -683,8 +694,7 @@ mod tests {
         let mut k = 0;
         for i in 5..9 {
             for j in 20..32 {
-                let got =
-                    f64::from_le_bytes(reply.data[8 * k..8 * k + 8].try_into().unwrap());
+                let got = f64::from_le_bytes(reply.data[8 * k..8 * k + 8].try_into().unwrap());
                 assert_eq!(got.to_bits(), full[i * 32 + j].to_bits());
                 k += 1;
             }

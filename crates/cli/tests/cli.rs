@@ -60,23 +60,45 @@ fn compress_decompress_analyze_cycle() {
 
     let out = fpsnr()
         .args([
-            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
-            "--type", "f32", "--dims", "40x50", "--mode", "psnr:80", "--verify",
+            "compress",
+            "-i",
+            raw.to_str().unwrap(),
+            "-o",
+            szr.to_str().unwrap(),
+            "--type",
+            "f32",
+            "--dims",
+            "40x50",
+            "--mode",
+            "psnr:80",
+            "--verify",
         ])
         .output()
         .expect("run compress");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("eb_rel"), "no Eq. 8 trace: {text}");
     assert!(text.contains("PSNR"), "no verify output: {text}");
 
     let out = fpsnr()
         .args([
-            "decompress", "-i", szr.to_str().unwrap(), "-o", back.to_str().unwrap(),
+            "decompress",
+            "-i",
+            szr.to_str().unwrap(),
+            "-o",
+            back.to_str().unwrap(),
         ])
         .output()
         .expect("run decompress");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(
         std::fs::metadata(&back).unwrap().len(),
         40 * 50 * 4,
@@ -85,8 +107,15 @@ fn compress_decompress_analyze_cycle() {
 
     let out = fpsnr()
         .args([
-            "analyze", "-i", raw.to_str().unwrap(), "-r", back.to_str().unwrap(),
-            "--type", "f32", "--dims", "40x50",
+            "analyze",
+            "-i",
+            raw.to_str().unwrap(),
+            "-r",
+            back.to_str().unwrap(),
+            "--type",
+            "f32",
+            "--dims",
+            "40x50",
         ])
         .output()
         .expect("run analyze");
@@ -105,12 +134,25 @@ fn abs_mode_round_trip() {
     write_test_field(&raw, 16, 16);
     let out = fpsnr()
         .args([
-            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
-            "--type", "f32", "--dims", "16x16", "--mode", "abs:0.01",
+            "compress",
+            "-i",
+            raw.to_str().unwrap(),
+            "-o",
+            szr.to_str().unwrap(),
+            "--type",
+            "f32",
+            "--dims",
+            "16x16",
+            "--mode",
+            "abs:0.01",
         ])
         .output()
         .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -208,12 +250,27 @@ fn compress_profile_json_reports_spans_and_counters() {
     write_test_field(&raw, 40, 50);
     let out = fpsnr()
         .args([
-            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
-            "--type", "f32", "--dims", "40x50", "--mode", "psnr:80", "--profile", "json",
+            "compress",
+            "-i",
+            raw.to_str().unwrap(),
+            "-o",
+            szr.to_str().unwrap(),
+            "--type",
+            "f32",
+            "--dims",
+            "40x50",
+            "--mode",
+            "psnr:80",
+            "--profile",
+            "json",
         ])
         .output()
         .expect("run compress");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     let last = text.lines().last().expect("no stdout");
     let keys = json_object_keys(last).unwrap_or_else(|e| panic!("{e}: {last}"));
@@ -231,12 +288,23 @@ fn gen_writes_manifest_and_fields() {
     let dir = tmpdir("gen");
     let out = fpsnr()
         .args([
-            "gen", "--dataset", "nyx", "--res", "small",
-            "--out-dir", dir.to_str().unwrap(), "--seed", "7",
+            "gen",
+            "--dataset",
+            "nyx",
+            "--res",
+            "small",
+            "--out-dir",
+            dir.to_str().unwrap(),
+            "--seed",
+            "7",
         ])
         .output()
         .expect("run gen");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let manifest = std::fs::read_to_string(dir.join("MANIFEST")).expect("manifest");
     assert!(manifest.contains("baryon_density.f32"));
     let meta = std::fs::metadata(dir.join("baryon_density.f32")).expect("field file");
@@ -248,12 +316,24 @@ fn gen_writes_manifest_and_fields() {
 fn eval_reports_summary() {
     let out = fpsnr()
         .args([
-            "eval", "--dataset", "nyx", "--psnr", "60", "--res", "small",
-            "--seed", "3", "--quiet",
+            "eval",
+            "--dataset",
+            "nyx",
+            "--psnr",
+            "60",
+            "--res",
+            "small",
+            "--seed",
+            "3",
+            "--quiet",
         ])
         .output()
         .expect("run eval");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("AVG"), "no summary: {text}");
     assert!(text.contains("meet-rate"));
@@ -268,13 +348,25 @@ fn budget_mode_fits_requested_size() {
     let budget = 4096usize; // 1/4 of raw
     let out = fpsnr()
         .args([
-            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
-            "--type", "f32", "--dims", "64x64",
-            "--mode", &format!("budget:{budget}"),
+            "compress",
+            "-i",
+            raw.to_str().unwrap(),
+            "-o",
+            szr.to_str().unwrap(),
+            "--type",
+            "f32",
+            "--dims",
+            "64x64",
+            "--mode",
+            &format!("budget:{budget}"),
         ])
         .output()
         .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let size = std::fs::metadata(&szr).unwrap().len() as usize;
     assert!(size <= budget, "container {size} > budget {budget}");
     std::fs::remove_dir_all(dir).ok();
@@ -289,18 +381,42 @@ fn transform_codec_cycle() {
     write_test_field(&raw, 32, 32);
     let out = fpsnr()
         .args([
-            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
-            "--type", "f32", "--dims", "32x32", "--mode", "psnr:70",
-            "--transform", "--verify",
+            "compress",
+            "-i",
+            raw.to_str().unwrap(),
+            "-o",
+            szr.to_str().unwrap(),
+            "--type",
+            "f32",
+            "--dims",
+            "32x32",
+            "--mode",
+            "psnr:70",
+            "--transform",
+            "--verify",
         ])
         .output()
         .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let out = fpsnr()
-        .args(["decompress", "-i", szr.to_str().unwrap(), "-o", back.to_str().unwrap()])
+        .args([
+            "decompress",
+            "-i",
+            szr.to_str().unwrap(),
+            "-o",
+            back.to_str().unwrap(),
+        ])
         .output()
         .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(std::fs::metadata(&back).unwrap().len(), 32 * 32 * 4);
     std::fs::remove_dir_all(dir).ok();
 }
@@ -320,18 +436,42 @@ fn f64_compress_decompress_cycle() {
 
     let out = fpsnr()
         .args([
-            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
-            "--type", "f64", "--dims", "20x20", "--mode", "psnr:90", "--verify",
+            "compress",
+            "-i",
+            raw.to_str().unwrap(),
+            "-o",
+            szr.to_str().unwrap(),
+            "--type",
+            "f64",
+            "--dims",
+            "20x20",
+            "--mode",
+            "psnr:90",
+            "--verify",
         ])
         .output()
         .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let out = fpsnr()
-        .args(["decompress", "-i", szr.to_str().unwrap(), "-o", back.to_str().unwrap()])
+        .args([
+            "decompress",
+            "-i",
+            szr.to_str().unwrap(),
+            "-o",
+            back.to_str().unwrap(),
+        ])
         .output()
         .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(std::fs::metadata(&back).unwrap().len(), 400 * 8);
     std::fs::remove_dir_all(dir).ok();
 }
@@ -346,14 +486,32 @@ fn ratio_mode_round_trip_lands_in_band() {
 
     let out = fpsnr()
         .args([
-            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
-            "--type", "f32", "--dims", "128x160", "--ratio", "10", "--ratio-tol", "0.1",
+            "compress",
+            "-i",
+            raw.to_str().unwrap(),
+            "-o",
+            szr.to_str().unwrap(),
+            "--type",
+            "f32",
+            "--dims",
+            "128x160",
+            "--ratio",
+            "10",
+            "--ratio-tol",
+            "0.1",
         ])
         .output()
         .expect("run compress");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fixed-ratio: target 10x"), "no ratio trace: {text}");
+    assert!(
+        text.contains("fixed-ratio: target 10x"),
+        "no ratio trace: {text}"
+    );
     assert!(
         !text.contains("outside tolerance"),
         "driver missed the band: {text}"
@@ -367,10 +525,20 @@ fn ratio_mode_round_trip_lands_in_band() {
     );
 
     let out = fpsnr()
-        .args(["decompress", "-i", szr.to_str().unwrap(), "-o", back.to_str().unwrap()])
+        .args([
+            "decompress",
+            "-i",
+            szr.to_str().unwrap(),
+            "-o",
+            back.to_str().unwrap(),
+        ])
         .output()
         .expect("run decompress");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(std::fs::metadata(&back).unwrap().len(), 128 * 160 * 4);
     std::fs::remove_dir_all(dir).ok();
 }
@@ -381,8 +549,15 @@ fn ratio_flag_conflicts_are_rejected() {
     let raw = dir.join("in.raw");
     write_textured_field(&raw, 16, 16);
     let base = [
-        "compress", "-i", raw.to_str().unwrap(), "-o", "/dev/null",
-        "--type", "f32", "--dims", "16x16",
+        "compress",
+        "-i",
+        raw.to_str().unwrap(),
+        "-o",
+        "/dev/null",
+        "--type",
+        "f32",
+        "--dims",
+        "16x16",
     ];
 
     // --ratio and --mode are two answers to the same question.
@@ -422,12 +597,25 @@ fn inspect_and_verify_exit_codes_distinguish_damage() {
     write_textured_field(&raw, 48, 64);
     let out = fpsnr()
         .args([
-            "compress", "-i", raw.to_str().unwrap(), "-o", szr.to_str().unwrap(),
-            "--type", "f32", "--dims", "48x64", "--mode", "psnr:80",
+            "compress",
+            "-i",
+            raw.to_str().unwrap(),
+            "-o",
+            szr.to_str().unwrap(),
+            "--type",
+            "f32",
+            "--dims",
+            "48x64",
+            "--mode",
+            "psnr:80",
         ])
         .output()
         .expect("run compress");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Clean container: both report success.
     for cmd in ["inspect", "verify"] {
@@ -483,8 +671,15 @@ fn bad_arguments_exit_nonzero_with_message() {
 fn snapshot_allocates_generated_dataset_within_budget() {
     let out = fpsnr()
         .args([
-            "snapshot", "--dataset", "nyx", "--res", "small", "--budget", "8KiB",
-            "--threads", "2",
+            "snapshot",
+            "--dataset",
+            "nyx",
+            "--res",
+            "small",
+            "--budget",
+            "8KiB",
+            "--threads",
+            "2",
         ])
         .output()
         .expect("run");
@@ -495,7 +690,10 @@ fn snapshot_allocates_generated_dataset_within_budget() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("field,assigned_psnr"), "missing table header");
-    assert!(text.contains("allocated 6 fields"), "missing summary: {text}");
+    assert!(
+        text.contains("allocated 6 fields"),
+        "missing summary: {text}"
+    );
     // The budget line reports total/budget; parse and check compliance.
     let summary = text
         .lines()
@@ -537,8 +735,15 @@ fn snapshot_manifest_mixes_types_and_writes_containers() {
     let outdir = dir.join("out");
     let out = fpsnr()
         .args([
-            "snapshot", "--manifest", mpath.to_str().unwrap(), "--budget", "4096",
-            "--objective", "weighted", "--out-dir", outdir.to_str().unwrap(),
+            "snapshot",
+            "--manifest",
+            mpath.to_str().unwrap(),
+            "--budget",
+            "4096",
+            "--objective",
+            "weighted",
+            "--out-dir",
+            outdir.to_str().unwrap(),
         ])
         .output()
         .expect("run");
@@ -556,8 +761,11 @@ fn snapshot_manifest_mixes_types_and_writes_containers() {
     let back = dir.join("back.raw");
     let out = fpsnr()
         .args([
-            "decompress", "-i", outdir.join("c.szr").to_str().unwrap(),
-            "-o", back.to_str().unwrap(),
+            "decompress",
+            "-i",
+            outdir.join("c.szr").to_str().unwrap(),
+            "-o",
+            back.to_str().unwrap(),
         ])
         .output()
         .expect("run");
@@ -573,7 +781,13 @@ fn snapshot_rejects_bad_budgets_and_objectives() {
         vec!["snapshot", "--dataset", "nyx", "--budget", "0"],
         vec!["snapshot", "--dataset", "nyx", "--budget", "12parsecs"],
         vec![
-            "snapshot", "--dataset", "nyx", "--budget", "1MiB", "--objective", "fastest",
+            "snapshot",
+            "--dataset",
+            "nyx",
+            "--budget",
+            "1MiB",
+            "--objective",
+            "fastest",
         ],
         vec!["snapshot", "--budget", "1MiB"], // no source
     ] {

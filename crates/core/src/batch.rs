@@ -224,8 +224,7 @@ mod tests {
             run_batch_summary("TEST", &fields, 80.0, &FixedPsnrOptions::default(), 2);
         assert_eq!(summary.n_fields, 5);
         assert_eq!(summary.dataset, "TEST");
-        let mean: f64 =
-            outs.iter().map(|o| o.achieved_psnr).sum::<f64>() / outs.len() as f64;
+        let mean: f64 = outs.iter().map(|o| o.achieved_psnr).sum::<f64>() / outs.len() as f64;
         assert!((summary.avg - mean).abs() < 1e-9);
         // Smooth synthetic fields at 80 dB land near target.
         assert!((summary.avg - 80.0).abs() < 5.0, "avg {}", summary.avg);

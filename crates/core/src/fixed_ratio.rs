@@ -179,7 +179,10 @@ pub fn compress_fixed_ratio<T: Scalar>(
     if !vr.is_finite() || vr <= 0.0 {
         // Constant (or non-finite-range) field: the container size does
         // not depend on the bound, so one pass is the complete answer.
-        let bytes = compress(field, &opts.compress.sz_config(ErrorBound::ValueRangeRel(1e-3)))?;
+        let bytes = compress(
+            field,
+            &opts.compress.sz_config(ErrorBound::ValueRangeRel(1e-3)),
+        )?;
         if fpsnr_obs::is_enabled() {
             fpsnr_obs::add("fratio.compress_passes", 1);
         }
@@ -198,7 +201,10 @@ pub fn compress_fixed_ratio<T: Scalar>(
         });
     }
     let pilot_span = fpsnr_obs::span("fratio.pilot");
-    let model = RateModel::pilot(field, &opts.compress.sz_config(ErrorBound::ValueRangeRel(1e-3)))?;
+    let model = RateModel::pilot(
+        field,
+        &opts.compress.sz_config(ErrorBound::ValueRangeRel(1e-3)),
+    )?;
     drop(pilot_span);
     if fpsnr_obs::is_enabled() {
         fpsnr_obs::add("fratio.pilot_passes", 1);
@@ -219,7 +225,10 @@ pub fn compress_fixed_ratio<T: Scalar>(
         let predicted = model.predict_bits_per_value(eb_abs, gain);
         passes += 1;
         let ebrel = eb_abs / vr;
-        let bytes = compress(field, &opts.compress.sz_config(ErrorBound::ValueRangeRel(ebrel)))?;
+        let bytes = compress(
+            field,
+            &opts.compress.sz_config(ErrorBound::ValueRangeRel(ebrel)),
+        )?;
         let achieved = ratio_of(bytes.len());
         let achieved_bpv = sample_bits / achieved;
         if fpsnr_obs::is_enabled() {
@@ -393,7 +402,9 @@ mod tests {
         let run = compress_fixed_ratio(&field, &FixedRatioOptions::new(10.0)).unwrap();
         let direct = compress(
             &field,
-            &FixedRatioOptions::new(10.0).compress.sz_config(ErrorBound::ValueRangeRel(run.eb_rel)),
+            &FixedRatioOptions::new(10.0)
+                .compress
+                .sz_config(ErrorBound::ValueRangeRel(run.eb_rel)),
         )
         .unwrap();
         assert_eq!(direct, run.bytes);

@@ -86,11 +86,17 @@ mod tests {
         let rows = vec![
             (
                 20.0,
-                vec![summary("NYX", 20.0, 24.3, 1.82), summary("ATM", 20.0, 21.9, 3.34)],
+                vec![
+                    summary("NYX", 20.0, 24.3, 1.82),
+                    summary("ATM", 20.0, 21.9, 3.34),
+                ],
             ),
             (
                 40.0,
-                vec![summary("NYX", 40.0, 41.9, 2.32), summary("ATM", 40.0, 40.9, 1.80)],
+                vec![
+                    summary("NYX", 40.0, 41.9, 2.32),
+                    summary("ATM", 40.0, 40.9, 1.80),
+                ],
             ),
         ];
         let s = render_table2(&rows);

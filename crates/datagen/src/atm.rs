@@ -215,9 +215,7 @@ fn sample(kind: Kind, ctx: &Ctx) -> f64 {
                 271.35 * ctx.land + open * (1.0 - ctx.land)
             }
         }
-        Kind::Pressure => {
-            101_325.0 - 3_000.0 * lat * lat + 700.0 * ctx.tex(0.7, 3, 0.5)
-        }
+        Kind::Pressure => 101_325.0 - 3_000.0 * lat * lat + 700.0 * ctx.tex(0.7, 3, 0.5),
         Kind::Terrain => {
             if ctx.land <= 0.0 {
                 0.0 // geopotential is exactly zero over ocean
@@ -373,12 +371,7 @@ mod tests {
     #[test]
     fn sst_has_constant_land_fill() {
         let f = field_by_name("SST", Resolution::Small, 3).unwrap();
-        let fill = f
-            .data
-            .as_slice()
-            .iter()
-            .filter(|&&v| v == 271.35)
-            .count();
+        let fill = f.data.as_slice().iter().filter(|&&v| v == 271.35).count();
         assert!(
             fill * 10 > f.data.len(),
             "land fill region too small: {fill}/{}",
@@ -390,14 +383,20 @@ mod tests {
     fn phis_is_zero_over_ocean() {
         let f = field_by_name("PHIS", Resolution::Small, 3).unwrap();
         let zeros = f.data.as_slice().iter().filter(|&&v| v == 0.0).count();
-        assert!(zeros * 4 > f.data.len(), "ocean zeros {zeros}/{}", f.data.len());
+        assert!(
+            zeros * 4 > f.data.len(),
+            "ocean zeros {zeros}/{}",
+            f.data.len()
+        );
         assert!(f.data.as_slice().iter().all(|&v| v >= 0.0));
     }
 
     #[test]
     fn solin_is_purely_zonal() {
         let f = field_by_name("SOLIN", Resolution::Small, 3).unwrap();
-        let Shape::D2(rows, cols) = f.data.shape() else { panic!() };
+        let Shape::D2(rows, cols) = f.data.shape() else {
+            panic!()
+        };
         for i in 0..rows {
             let first = f.data.get(&[i, 0]);
             for j in 1..cols {
@@ -425,7 +424,9 @@ mod tests {
     #[test]
     fn icefrac_zero_outside_polar_caps() {
         let f = field_by_name("ICEFRAC", Resolution::Small, 3).unwrap();
-        let Shape::D2(rows, cols) = f.data.shape() else { panic!() };
+        let Shape::D2(rows, cols) = f.data.shape() else {
+            panic!()
+        };
         // Equatorial band must be exactly zero.
         for i in rows * 2 / 5..rows * 3 / 5 {
             for j in 0..cols {

@@ -15,8 +15,8 @@ use ndfield::{Field, Shape};
 
 /// The 13 Isabel field names.
 pub const NAMES: [&str; 13] = [
-    "QCLOUD", "QGRAUP", "QICE", "QRAIN", "QSNOW", "QVAPOR", "CLOUD", "PRECIP", "P", "TC", "U",
-    "V", "W",
+    "QCLOUD", "QGRAUP", "QICE", "QRAIN", "QSNOW", "QVAPOR", "CLOUD", "PRECIP", "P", "TC", "U", "V",
+    "W",
 ];
 
 /// Normalised storm geometry at a grid point.
@@ -81,7 +81,8 @@ fn sample(name: &str, g: &Geometry, u: f64, v: f64, w: f64, du: f64, seed: u64) 
     match name {
         // Winds: tangential vortex + shear + turbulence, decaying aloft.
         "U" => {
-            60.0 * vortex_speed(g.r) * g.tx * (1.0 - 0.6 * g.h) + 8.0 * turb(2.0, 5)
+            60.0 * vortex_speed(g.r) * g.tx * (1.0 - 0.6 * g.h)
+                + 8.0 * turb(2.0, 5)
                 + 10.0 * (g.h - 0.3)
         }
         "V" => 60.0 * vortex_speed(g.r) * g.ty * (1.0 - 0.6 * g.h) + 8.0 * turb(2.1, 5),
@@ -98,7 +99,8 @@ fn sample(name: &str, g: &Geometry, u: f64, v: f64, w: f64, du: f64, seed: u64) 
         // Temperature (°C like Isabel's TC): lapse rate + warm core.
         "TC" => {
             let lapse = 28.0 - 75.0 * g.h;
-            let warm_core = 9.0 * (-g.r * g.r / 1.5).exp() * (-(g.h - 0.45) * (g.h - 0.45) / 0.1).exp();
+            let warm_core =
+                9.0 * (-g.r * g.r / 1.5).exp() * (-(g.h - 0.45) * (g.h - 0.45) / 0.1).exp();
             lapse + warm_core + 1.5 * turb(2.0, 5)
         }
         // Vapour: moist boundary layer, drying aloft, moister in the storm.
@@ -192,8 +194,8 @@ mod tests {
             for k in 0..d2 {
                 let g = geometry(i, j, k, d0, d1, d2);
                 if (0.5..2.0).contains(&g.r) {
-                    tangential += u.data.get(&[i, j, k]) as f64 * g.tx
-                        + v.data.get(&[i, j, k]) as f64 * g.ty;
+                    tangential +=
+                        u.data.get(&[i, j, k]) as f64 * g.tx + v.data.get(&[i, j, k]) as f64 * g.ty;
                 }
             }
         }
@@ -259,11 +261,7 @@ mod tests {
     #[test]
     fn cloud_fraction_bounded() {
         let f = by_name("CLOUD");
-        assert!(f
-            .data
-            .as_slice()
-            .iter()
-            .all(|&v| (0.0..=1.0).contains(&v)));
+        assert!(f.data.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]

@@ -136,14 +136,8 @@ mod tests {
 
     #[test]
     fn noise_is_deterministic() {
-        assert_eq!(
-            value_noise_2d(3.7, -2.2, 42),
-            value_noise_2d(3.7, -2.2, 42)
-        );
-        assert_ne!(
-            value_noise_2d(3.7, -2.2, 42),
-            value_noise_2d(3.7, -2.2, 43)
-        );
+        assert_eq!(value_noise_2d(3.7, -2.2, 42), value_noise_2d(3.7, -2.2, 42));
+        assert_ne!(value_noise_2d(3.7, -2.2, 42), value_noise_2d(3.7, -2.2, 43));
     }
 
     #[test]

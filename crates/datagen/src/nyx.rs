@@ -51,15 +51,12 @@ pub fn fields(res: Resolution, master_seed: u64) -> Vec<NamedField> {
                 }),
                 // Temperature: adiabatic coupling T ∝ ρ^{2/3} around 1e4 K.
                 "temperature" => make(&|lin| {
-                    1.0e4 * ((2.0 / 3.0) * 1.4 * delta[lin]).exp()
-                        * (0.3 * delta2[lin]).exp()
+                    1.0e4 * ((2.0 / 3.0) * 1.4 * delta[lin]).exp() * (0.3 * delta2[lin]).exp()
                 }),
                 // Peculiar velocities: smooth GRFs, ~100 km/s in cm/s units.
                 "velocity_x" | "velocity_y" | "velocity_z" => {
                     let v = grf_3d(d0, d1, d2, 5.0, field_seed(master_seed, name));
-                    Field::from_fn_linear(Shape::D3(d0, d1, d2), |lin| {
-                        (1.0e7 * v[lin]) as f32
-                    })
+                    Field::from_fn_linear(Shape::D3(d0, d1, d2), |lin| (1.0e7 * v[lin]) as f32)
                 }
                 other => unreachable!("unknown NYX field {other}"),
             };
@@ -114,10 +111,7 @@ mod tests {
         let lt: Vec<f64> = t.data.as_slice().iter().map(|&v| (v as f64).ln()).collect();
         let ld: Vec<f64> = d.data.as_slice().iter().map(|&v| (v as f64).ln()).collect();
         let n = lt.len() as f64;
-        let (mt, md) = (
-            lt.iter().sum::<f64>() / n,
-            ld.iter().sum::<f64>() / n,
-        );
+        let (mt, md) = (lt.iter().sum::<f64>() / n, ld.iter().sum::<f64>() / n);
         let mut cov = 0.0;
         let mut vt = 0.0;
         let mut vd = 0.0;

@@ -157,9 +157,6 @@ mod tests {
     #[test]
     fn snapshot_bytes_scale() {
         let spec = DatasetSpec::of(DatasetId::Atm);
-        assert_eq!(
-            spec.snapshot_bytes(Resolution::Paper),
-            1800 * 3600 * 4 * 79
-        );
+        assert_eq!(spec.snapshot_bytes(Resolution::Paper), 1800 * 3600 * 4 * 79);
     }
 }

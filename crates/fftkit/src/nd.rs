@@ -154,8 +154,7 @@ mod tests {
         for i in 0..d0 {
             for j in 0..d1 {
                 for k in 0..d2 {
-                    let ph = 2.0 * std::f64::consts::PI
-                        * (k0 * i) as f64 / d0 as f64
+                    let ph = 2.0 * std::f64::consts::PI * (k0 * i) as f64 / d0 as f64
                         + 2.0 * std::f64::consts::PI * (k1 * j) as f64 / d1 as f64
                         + 2.0 * std::f64::consts::PI * (k2 * k) as f64 / d2 as f64;
                     data[(i * d1 + j) * d2 + k] = Complex::new(ph.cos(), ph.sin());

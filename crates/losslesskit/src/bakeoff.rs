@@ -394,11 +394,7 @@ pub fn compress_forced(data: &[u8], effort: Effort, backend: Backend) -> Vec<u8>
 ///
 /// # Panics
 /// Panics if `chunk_size` is 0 or exceeds [`MAX_CHUNK_SIZE`].
-pub fn compress_chunked(
-    data: &[u8],
-    effort: Effort,
-    chunk_size: usize,
-) -> (Vec<u8>, BakeoffStats) {
+pub fn compress_chunked(data: &[u8], effort: Effort, chunk_size: usize) -> (Vec<u8>, BakeoffStats) {
     let (out, stats) = compress_inner(data, effort, chunk_size, None, false);
     (out.expect("stored chunks are written"), stats)
 }
@@ -577,10 +573,7 @@ pub fn decompress_bounded(src: &[u8], max_raw: usize) -> Result<Cow<'_, [u8]>, C
 /// `Some(slice)` when the container is exactly one stored chunk (shares
 /// full validation with [`walk_chunks`]), `None` when it needs decoding,
 /// `Err` only for the header errors `walk_chunks` would also raise.
-fn try_borrow_single_stored(
-    src: &[u8],
-    max_raw: usize,
-) -> Result<Option<&[u8]>, CodecError> {
+fn try_borrow_single_stored(src: &[u8], max_raw: usize) -> Result<Option<&[u8]>, CodecError> {
     let mut pos = 0usize;
     let raw_len = varint::read_u64(src, &mut pos)? as usize;
     if raw_len > max_raw {

@@ -83,9 +83,14 @@ impl BitWriter {
                 self.buf.extend_from_slice(&self.acc.to_le_bytes());
                 self.buf.truncate(self.buf.len() - (8 - nbytes));
             } else {
-                self.buf.extend_from_slice(&self.acc.to_le_bytes()[..nbytes]);
+                self.buf
+                    .extend_from_slice(&self.acc.to_le_bytes()[..nbytes]);
             }
-            self.acc = if nbytes == 8 { 0 } else { self.acc >> (nbytes * 8) };
+            self.acc = if nbytes == 8 {
+                0
+            } else {
+                self.acc >> (nbytes * 8)
+            };
             self.nbits -= (nbytes * 8) as u32;
         }
     }
@@ -241,7 +246,6 @@ impl<'a> BitReader<'a> {
         self.acc = acc;
         self.nbits = nbits;
     }
-
 }
 
 #[cfg(test)]

@@ -171,7 +171,11 @@ mod tests {
         f.halve();
         assert_eq!(f.get(0), 50);
         assert_eq!(f.get(1), 1, "aged frequency must stay >= 1");
-        assert_eq!(f.get(2), 1, "zero frequencies become 1 to keep coding possible");
+        assert_eq!(
+            f.get(2),
+            1,
+            "zero frequencies become 1 to keep coding possible"
+        );
     }
 
     #[test]

@@ -236,10 +236,15 @@ mod tests {
 
     #[test]
     fn parts_count_as_their_concatenation() {
-        let a: Vec<u32> = (0..MULTI_TABLE_MIN_LEN as u32 + 3).map(|i| i % 13).collect();
+        let a: Vec<u32> = (0..MULTI_TABLE_MIN_LEN as u32 + 3)
+            .map(|i| i % 13)
+            .collect();
         let b = [12u32, 0, 5];
         let whole: Vec<u32> = a.iter().chain(&b).copied().collect();
-        assert_eq!(count_dense_parts(&[&a, &[], &b], 13), count_dense(&whole, 13));
+        assert_eq!(
+            count_dense_parts(&[&a, &[], &b], 13),
+            count_dense(&whole, 13)
+        );
     }
 
     #[test]

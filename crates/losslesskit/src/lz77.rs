@@ -141,8 +141,12 @@ fn chain_search(
             // agree on the four bytes ending at offset `best_len`
             // (`c < i` keeps `c + best_len` in bounds).
             pos_probes += 4;
-            let a: [u8; 4] = data[c + best_len - 3..=c + best_len].try_into().expect("4 bytes");
-            let b: [u8; 4] = data[i + best_len - 3..=i + best_len].try_into().expect("4 bytes");
+            let a: [u8; 4] = data[c + best_len - 3..=c + best_len]
+                .try_into()
+                .expect("4 bytes");
+            let b: [u8; 4] = data[i + best_len - 3..=i + best_len]
+                .try_into()
+                .expect("4 bytes");
             u32::from_le_bytes(a) == u32::from_le_bytes(b)
         } else {
             pos_probes += 1; // fast-reject byte
@@ -255,8 +259,16 @@ fn parse(data: &[u8], effort: Effort, mut emit: impl FnMut(Token)) -> MatchStats
             if lazy && best_len < LAZY_MAX && i + 1 + MIN_MATCH <= n {
                 chain_insert(data, &mut head, &mut prev, i);
                 insert_from = i + 1;
-                let (len1, dist1, _) =
-                    chain_search(data, &head, &prev, i + 1, max_chain, budget, level, &mut stats);
+                let (len1, dist1, _) = chain_search(
+                    data,
+                    &head,
+                    &prev,
+                    i + 1,
+                    max_chain,
+                    budget,
+                    level,
+                    &mut stats,
+                );
                 if len1 > best_len {
                     emit(Token::Literal(data[i]));
                     i += 1;
@@ -468,9 +480,9 @@ mod tests {
         data.extend_from_slice(phrase);
         let tokens = tokenize(&data, Effort::Best);
         roundtrip(&data, Effort::Best);
-        let has_long_dist = tokens.iter().any(
-            |t| matches!(t, Token::Match { dist, .. } if *dist as usize > 9_000),
-        );
+        let has_long_dist = tokens
+            .iter()
+            .any(|t| matches!(t, Token::Match { dist, .. } if *dist as usize > 9_000));
         assert!(has_long_dist, "expected a long-distance match");
     }
 

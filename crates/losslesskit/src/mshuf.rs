@@ -228,13 +228,29 @@ fn encode_lanes<S: Symbol, const N: usize>(
             let e1 = entries[round[k + N].index()];
             let (w0, l0) = (e0 & WIRE_MASK, (e0 >> 32) as u32);
             let (w1, l1) = (e1 & WIRE_MASK, (e1 >> 32) as u32);
-            put(buf, ends[k], &mut pos[k], &mut acc[k], &mut nbits[k], w0 | w1 << l0, l0 + l1);
+            put(
+                buf,
+                ends[k],
+                &mut pos[k],
+                &mut acc[k],
+                &mut nbits[k],
+                w0 | w1 << l0,
+                l0 + l1,
+            );
         }
     }
     for (j, s) in rounds.remainder().iter().enumerate() {
         let k = j % N;
         let e = entries[s.index()];
-        put(buf, ends[k], &mut pos[k], &mut acc[k], &mut nbits[k], e & WIRE_MASK, (e >> 32) as u32);
+        put(
+            buf,
+            ends[k],
+            &mut pos[k],
+            &mut acc[k],
+            &mut nbits[k],
+            e & WIRE_MASK,
+            (e >> 32) as u32,
+        );
     }
     for k in 0..N {
         if nbits[k] > 0 {
@@ -255,7 +271,15 @@ const WIRE_MASK: u64 = u32::MAX as u64;
 /// store; within 8 bytes of the stream's `end` only the whole bytes are
 /// stored, so no store reaches into the next stream.
 #[inline(always)]
-fn put(buf: &mut [u8], end: usize, pos: &mut usize, acc: &mut u64, nbits: &mut u32, bits: u64, n: u32) {
+fn put(
+    buf: &mut [u8],
+    end: usize,
+    pos: &mut usize,
+    acc: &mut u64,
+    nbits: &mut u32,
+    bits: u64,
+    n: u32,
+) {
     *acc |= bits << *nbits;
     *nbits += n;
     // At most 7 pending + 56 new bits: never a full 8 bytes.
@@ -685,4 +709,3 @@ mod tests {
         assert_eq!(err, CodecError::UnexpectedEof);
     }
 }
-

@@ -216,8 +216,9 @@ mod tests {
     #[test]
     fn uniform_stream_near_log2_alphabet() {
         let alphabet = 64usize;
-        let symbols: Vec<u32> =
-            (0..20_000u32).map(|i| (i.wrapping_mul(2654435761)) % 64).collect();
+        let symbols: Vec<u32> = (0..20_000u32)
+            .map(|i| (i.wrapping_mul(2654435761)) % 64)
+            .collect();
         let size = roundtrip(&symbols, alphabet);
         // Ideal is 6 bits/symbol; the adaptive model pays a learning and
         // fluctuation overhead of a few percent on uniform data.

@@ -45,10 +45,7 @@ pub fn error_series<T: Scalar>(original: &Field<T>, reconstructed: &Field<T>) ->
 
 /// Lag-1 autocorrelation of the compression errors — the headline number
 /// SZ evaluations quote (|value| ≲ 0.1 reads as "effectively white").
-pub fn error_autocorrelation<T: Scalar>(
-    original: &Field<T>,
-    reconstructed: &Field<T>,
-) -> f64 {
+pub fn error_autocorrelation<T: Scalar>(original: &Field<T>, reconstructed: &Field<T>) -> f64 {
     autocorrelation(&error_series(original, reconstructed), 1)
 }
 
@@ -80,7 +77,9 @@ mod tests {
 
     #[test]
     fn alternating_series_is_anticorrelated() {
-        let series: Vec<f64> = (0..1000).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let series: Vec<f64> = (0..1000)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let r = autocorrelation(&series, 1);
         assert!(r < -0.99, "alternation r1 = {r}");
         let r2 = autocorrelation(&series, 2);

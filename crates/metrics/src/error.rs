@@ -58,7 +58,11 @@ impl PointwiseError {
         }
         PointwiseError {
             max_abs,
-            mean_abs: if count > 0 { sum_abs / count as f64 } else { 0.0 },
+            mean_abs: if count > 0 {
+                sum_abs / count as f64
+            } else {
+                0.0
+            },
             max_rel,
             max_range_rel: if vr > 0.0 { max_abs / vr } else { 0.0 },
             count,

@@ -6,7 +6,6 @@
 //! the general-bin MSE estimator (Eq. 3) which integrates `δᵢ³·P(mᵢ)` over
 //! an empirical `P`.
 
-
 /// A uniform-bin histogram over `[lo, hi)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {

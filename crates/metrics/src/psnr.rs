@@ -52,7 +52,11 @@ impl Distortion {
             count += 1;
         }
         Distortion {
-            mse: if count > 0 { sum_sq / count as f64 } else { 0.0 },
+            mse: if count > 0 {
+                sum_sq / count as f64
+            } else {
+                0.0
+            },
             value_range: vr,
             count,
         }

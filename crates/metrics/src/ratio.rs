@@ -1,6 +1,5 @@
 //! Compression-ratio and bit-rate accounting.
 
-
 /// Size accounting for one compression run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateStats {

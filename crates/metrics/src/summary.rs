@@ -96,11 +96,7 @@ impl DatasetSummary {
         let mad = if finite.is_empty() {
             0.0
         } else {
-            finite
-                .iter()
-                .map(|p| (p - target_psnr).abs())
-                .sum::<f64>()
-                / finite.len() as f64
+            finite.iter().map(|p| (p - target_psnr).abs()).sum::<f64>() / finite.len() as f64
         };
         DatasetSummary {
             dataset: dataset.to_string(),
@@ -240,8 +236,10 @@ mod tests {
 
     #[test]
     fn aggregate_avg_stdev() {
-        let outs: Vec<FieldOutcome> =
-            [80.0, 81.0, 82.0].iter().map(|&p| outcome(p, 80.0)).collect();
+        let outs: Vec<FieldOutcome> = [80.0, 81.0, 82.0]
+            .iter()
+            .map(|&p| outcome(p, 80.0))
+            .collect();
         let s = DatasetSummary::aggregate("ATM", 80.0, &outs);
         assert!((s.avg - 81.0).abs() < 1e-12);
         assert!((s.stdev - 1.0).abs() < 1e-12);

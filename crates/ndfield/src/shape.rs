@@ -6,7 +6,6 @@
 //! `[d0, d1, d2]` stores element `(i, j, k)` at linear offset
 //! `i·d1·d2 + j·d2 + k`.
 
-
 /// Shape of a 1-, 2- or 3-dimensional row-major grid.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Shape {
@@ -100,7 +99,10 @@ impl Shape {
                 *i
             }
             (Shape::D2(r, c), [i, j]) => {
-                assert!(*i < r && *j < c, "index ({i},{j}) out of bounds for D2({r},{c})");
+                assert!(
+                    *i < r && *j < c,
+                    "index ({i},{j}) out of bounds for D2({r},{c})"
+                );
                 i * c + j
             }
             (Shape::D3(a, b, c), [i, j, k]) => {

@@ -5,7 +5,6 @@
 //! pass before compression; we do the same, and count the non-finite
 //! samples the pointwise-relative mode carries aside.
 
-
 /// One-pass statistics over the finite samples of a field.
 ///
 /// Non-finite samples (NaN/±inf) are counted but excluded from min/max,

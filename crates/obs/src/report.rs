@@ -47,7 +47,10 @@ impl Report {
 
     /// Look up a counter value by exact name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
     }
 
     /// Render as a single-line JSON object:
@@ -233,7 +236,9 @@ mod tests {
 
     #[test]
     fn empty_report_renders_placeholder() {
-        assert!(Report::default().render_pretty().contains("no instrumentation"));
+        assert!(Report::default()
+            .render_pretty()
+            .contains("no instrumentation"));
     }
 
     #[test]

@@ -21,8 +21,8 @@ use crate::predictor::{Predictor, PredictorModel, REGRESSION_COEFF_BYTES};
 use crate::select;
 use crate::unpredictable;
 use losslesskit::bitio::{BitReader, BitWriter};
-use losslesskit::huffman::HuffmanCodec;
 use losslesskit::crc32::crc32;
+use losslesskit::huffman::HuffmanCodec;
 use losslesskit::lz77::Effort;
 use losslesskit::{bakeoff, deflate_like, freq, mshuf, range, varint};
 use ndfield::{io as fio, Field, Scalar, Shape};
@@ -157,9 +157,7 @@ pub fn compress_with_detail<T: Scalar>(
     Ok((bytes, detail))
 }
 
-fn compress_constant<T: Scalar>(
-    field: &Field<T>,
-) -> Result<(Vec<u8>, CompressionDetail), SzError> {
+fn compress_constant<T: Scalar>(field: &Field<T>) -> Result<(Vec<u8>, CompressionDetail), SzError> {
     let mut out = Vec::new();
     format::write_header(&mut out, T::TAG, Mode::Constant, field.shape())?;
     field.as_slice()[0].write_le(&mut out);
@@ -706,10 +704,7 @@ fn decompress_constant<T: Scalar>(
     header: &Header,
 ) -> Result<Field<T>, SzError> {
     let v = T::read_le(take(src, &mut pos, T::BYTES)?);
-    Ok(Field::from_vec(
-        header.shape,
-        vec![v; header.shape.len()],
-    ))
+    Ok(Field::from_vec(header.shape, vec![v; header.shape.len()]))
 }
 
 fn decompress_raw<T: Scalar>(
@@ -791,7 +786,9 @@ fn decompress_quantized<T: Scalar>(
     if n_unpred > n {
         return Err(SzError::Format("more escapes than samples"));
     }
-    let escape_tag = *body.get(bpos).ok_or(SzError::Format("missing escape tag"))?;
+    let escape_tag = *body
+        .get(bpos)
+        .ok_or(SzError::Format("missing escape tag"))?;
     bpos += 1;
     let unpred_values: Vec<T> = read_escape_values(&body, &mut bpos, n_unpred, escape_tag, eb)?;
 
@@ -1042,7 +1039,11 @@ pub fn quantization_probe<T: Scalar>(
     let bins = resolve_bins(field, eb_abs, cfg);
     let model = select::model(data, shape, cfg.predictor, eb_abs, bins).model;
     let (walk, preds) = kernels::walk_reference(data, shape, eb_abs, bins, model, cfg.escape);
-    let pe = data.iter().zip(&preds).map(|(x, p)| x.to_f64() - p).collect();
+    let pe = data
+        .iter()
+        .zip(&preds)
+        .map(|(x, p)| x.to_f64() - p)
+        .collect();
     // X̃pe as the decompressor sees it: X̃ − pred.
     let pe_recon = walk.recon.iter().zip(&preds).map(|(r, p)| r - p).collect();
     Ok((pe, pe_recon, eb_abs))
@@ -1155,7 +1156,11 @@ mod tests {
         let field = Field::from_vec(Shape::D2(30, 30), vec![4.25f32; 900]);
         let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-3));
         let bytes = compress(&field, &cfg).unwrap();
-        assert!(bytes.len() < 32, "constant container is {} bytes", bytes.len());
+        assert!(
+            bytes.len() < 32,
+            "constant container is {} bytes",
+            bytes.len()
+        );
         let back: Field<f32> = decompress(&bytes).unwrap();
         assert_eq!(back.as_slice(), field.as_slice());
     }
@@ -1179,12 +1184,7 @@ mod tests {
         let back: Field<f32> = decompress(&bytes).unwrap();
         assert!(back.as_slice()[37].is_nan());
         assert_eq!(back.as_slice()[100], f32::INFINITY);
-        for (lin, (&x, &y)) in field
-            .as_slice()
-            .iter()
-            .zip(back.as_slice())
-            .enumerate()
-        {
+        for (lin, (&x, &y)) in field.as_slice().iter().zip(back.as_slice()).enumerate() {
             if x.is_finite() {
                 assert!((x - y).abs() <= 1e-2, "sample {lin}");
             }
@@ -1418,8 +1418,8 @@ mod tests {
     fn auto_predictor_selection_roundtrips() {
         use crate::predictor::PredictorKind;
         let field = wavy_2d(64, 64);
-        let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-3))
-            .with_predictor(PredictorKind::Auto);
+        let cfg =
+            SzConfig::new(ErrorBound::ValueRangeRel(1e-3)).with_predictor(PredictorKind::Auto);
         let bytes = compress(&field, &cfg).unwrap();
         let back: Field<f32> = decompress(&bytes).unwrap();
         let eb = 1e-3 * field.value_range() as f64;

@@ -281,7 +281,9 @@ mod tests {
     #[test]
     fn nan_bound_rejected() {
         assert!(ErrorBound::Abs(f64::NAN).absolute(1.0).is_err());
-        assert!(ErrorBound::ValueRangeRel(f64::INFINITY).absolute(1.0).is_err());
+        assert!(ErrorBound::ValueRangeRel(f64::INFINITY)
+            .absolute(1.0)
+            .is_err());
         assert!(ErrorBound::PointwiseRel(-0.5).absolute(1.0).is_err());
     }
 

@@ -87,7 +87,9 @@ impl Region {
 
     /// Per-axis extents (`rank` entries).
     pub fn dims(&self) -> Vec<usize> {
-        (0..self.rank).map(|a| self.end[a] - self.start[a]).collect()
+        (0..self.rank)
+            .map(|a| self.end[a] - self.start[a])
+            .collect()
     }
 
     /// The region's extents as a [`Shape`].
@@ -352,9 +354,7 @@ impl ChunkGrid {
             lo[a] = s / self.chunk[a];
             hi[a] = (e - 1) / self.chunk[a] + 1;
         }
-        let mut out = Vec::with_capacity(
-            (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]),
-        );
+        let mut out = Vec::with_capacity((hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]));
         for c0 in lo[0]..hi[0] {
             for c1 in lo[1]..hi[1] {
                 for c2 in lo[2]..hi[2] {
@@ -387,7 +387,10 @@ impl ChunkGrid {
             hi[a] = e.min(o[a] + d[a]);
             rdim[a] = e - s;
         }
-        debug_assert!((0..3).all(|a| lo[a] < hi[a]), "block does not intersect region");
+        debug_assert!(
+            (0..3).all(|a| lo[a] < hi[a]),
+            "block does not intersect region"
+        );
         let run = hi[2] - lo[2];
         let (r0, _) = region.axis(0);
         let (r1, _) = region.axis(1);

@@ -295,7 +295,10 @@ mod tests {
         assert_eq!(map.len(), 4);
         let known = ["lorenzo", "lorenzo2", "regression", "spline"];
         for name in &map {
-            assert!(known.contains(&name.as_str()), "unexpected predictor {name}");
+            assert!(
+                known.contains(&name.as_str()),
+                "unexpected predictor {name}"
+            );
         }
         // Uniform containers have no per-block map.
         let uniform = compress(

@@ -751,7 +751,6 @@ fn l2_row<S: ElementSink>(
     Ok(())
 }
 
-
 /// The first-order 3-D seven-point stencil: the reference's
 /// inclusion–exclusion chain `t1+t2+t3−t4−t5−t6+t7`, left-associated.
 /// `rjm1`/`pj`/`pjm1` are the linear offsets of rows (i, j−1, ·),
@@ -897,7 +896,6 @@ fn l2_3d_row<S: ElementSink>(
     }
     Ok(())
 }
-
 
 // ---------------------------------------------------------------------
 // Wavefront row pairs (both walks).
@@ -1097,13 +1095,39 @@ fn l2_3d_pair<S: ElementSink>(
         recon[rowa + k] = ra;
         la2 = la1;
         la1 = ra;
-        let pb = l2_stencil_3d(recon, lb1, lb2, b01, b02, b10, b11, b12, b20, b21, b22, k - 1);
+        let pb = l2_stencil_3d(
+            recon,
+            lb1,
+            lb2,
+            b01,
+            b02,
+            b10,
+            b11,
+            b12,
+            b20,
+            b21,
+            b22,
+            k - 1,
+        );
         let rb = sink.emit_lagged(rowb + k - 1, pb)?;
         recon[rowb + k - 1] = rb;
         lb2 = lb1;
         lb1 = rb;
     }
-    let pb = l2_stencil_3d(recon, lb1, lb2, b01, b02, b10, b11, b12, b20, b21, b22, d2 - 1);
+    let pb = l2_stencil_3d(
+        recon,
+        lb1,
+        lb2,
+        b01,
+        b02,
+        b10,
+        b11,
+        b12,
+        b20,
+        b21,
+        b22,
+        d2 - 1,
+    );
     let rb = sink.emit_lagged(rowb + d2 - 1, pb)?;
     recon[rowb + d2 - 1] = rb;
     sink.flush_pair();
@@ -1725,7 +1749,14 @@ impl<T: Scalar> FusedDecoder<T> {
             radius: self.radius,
             alphabet: self.alphabet,
         };
-        drive_range(self.shape, self.model, start, end, &mut self.recon, &mut sink)?;
+        drive_range(
+            self.shape,
+            self.model,
+            start,
+            end,
+            &mut self.recon,
+            &mut sink,
+        )?;
         self.filled = end;
         Ok(())
     }
@@ -1842,8 +1873,7 @@ mod tests {
             "{shape:?} {model:?} unpred"
         );
         assert_eq!(bits(&ra), bits(&refw.recon), "{shape:?} {model:?} recon");
-        let dec_f =
-            reconstruct_fused(&fused.codes, fused.unpred, shape, eb, 512, model).unwrap();
+        let dec_f = reconstruct_fused(&fused.codes, fused.unpred, shape, eb, 512, model).unwrap();
         let dec_r =
             reconstruct_reference(&refw.codes, &refw.unpred, shape, eb, 512, model).unwrap();
         assert_eq!(dec_f, dec_r, "{shape:?} {model:?} decode");
@@ -1892,13 +1922,13 @@ mod tests {
             0.5,
             1.5,
             2.5,
-            0.499_999_999_999_999_94,  // largest f64 below 0.5
-            0.500_000_000_000_000_1,   // smallest f64 above 0.5
-            1.499_999_999_999_999_8,   // largest f64 below 1.5
+            0.499_999_999_999_999_94, // largest f64 below 0.5
+            0.500_000_000_000_000_1,  // smallest f64 above 0.5
+            1.499_999_999_999_999_8,  // largest f64 below 1.5
             f64::MIN_POSITIVE,
-            1e-310,                    // subnormal scale
-            4_503_599_627_370_495.5,   // 2^52 − 0.5: last half-integer
-            2_251_799_813_685_248.5,   // 2^51 + 0.5
+            1e-310,                  // subnormal scale
+            4_503_599_627_370_495.5, // 2^52 − 0.5: last half-integer
+            2_251_799_813_685_248.5, // 2^51 + 0.5
         ];
         // Dense sweep around every half-integer and integer in ±64.
         for i in -128i64..=128 {
@@ -2098,11 +2128,25 @@ mod tests {
     fn escape_underrun_and_leftover_detected() {
         let shape = Shape::D1(4);
         // An ESCAPE code with no stored value.
-        let err = reconstruct_fused::<f32>(&[ESCAPE; 4], Vec::new(), shape, 0.1, 64, PredictorModel::Lorenzo1);
+        let err = reconstruct_fused::<f32>(
+            &[ESCAPE; 4],
+            Vec::new(),
+            shape,
+            0.1,
+            64,
+            PredictorModel::Lorenzo1,
+        );
         assert!(err.is_err());
         // A stored value no code consumes.
         let codes = [32u32; 4];
-        let err = reconstruct_fused(&codes, vec![1.0f32], shape, 0.1, 64, PredictorModel::Lorenzo1);
+        let err = reconstruct_fused(
+            &codes,
+            vec![1.0f32],
+            shape,
+            0.1,
+            64,
+            PredictorModel::Lorenzo1,
+        );
         assert!(err.is_err());
     }
 

@@ -54,16 +54,13 @@ pub mod unpredictable;
 pub use compressor::{
     compress, compress_with_detail, decompress, decompress_partial,
     decompress_partial_with_threads, decompress_with_limits, decompress_with_threads,
-    quantization_probe, BlockDamage, CompressionDetail, DamageReport,
-    DecodeLimits,
+    quantization_probe, BlockDamage, CompressionDetail, DamageReport, DecodeLimits,
 };
 pub use config::{EntropyCoder, ErrorBound, EscapeCoding, LosslessBackend, SzConfig};
 pub use error::{DecodeError, SzError};
 pub use grid::{ChunkGrid, Region};
-pub use inspect::{
-    inspect_block_predictors, inspect_sections, ContainerInfo, SectionInfo,
-};
-pub use store::{StoreOptions, StoreStats, SzStore};
+pub use inspect::{inspect_block_predictors, inspect_sections, ContainerInfo, SectionInfo};
 pub use predictor::{Predictor, PredictorKind, PredictorModel};
 pub use quantizer::LinearQuantizer;
 pub use ratemodel::{RateCurve, RateModel};
+pub use store::{StoreOptions, StoreStats, SzStore};

@@ -668,8 +668,7 @@ mod tests {
         // cross terms cancel in the inclusion-exclusion).
         let (d1, d2) = (5, 6);
         let f = |i: usize, j: usize, k: usize| {
-            1.0 + 0.3 * i as f64 - 0.7 * j as f64 + 0.1 * k as f64
-                + 0.05 * (i * j) as f64
+            1.0 + 0.3 * i as f64 - 0.7 * j as f64 + 0.1 * k as f64 + 0.05 * (i * j) as f64
                 - 0.02 * (i * k) as f64
                 + 0.04 * (j * k) as f64
         };
@@ -714,7 +713,10 @@ mod tests {
         // 2·r[i−1] − r[i−2] annihilates linear trends exactly...
         let lin: Vec<f64> = (0..20).map(|i| 3.0 + 0.5 * i as f64).collect();
         for idx in 2..20 {
-            assert!((lorenzo2_1d(&lin, idx) - lin[idx]).abs() < 1e-12, "idx {idx}");
+            assert!(
+                (lorenzo2_1d(&lin, idx) - lin[idx]).abs() < 1e-12,
+                "idx {idx}"
+            );
         }
         // ...and leaves the constant second difference on quadratics
         // (where the first-order stencil leaves a *growing* error).
@@ -764,7 +766,8 @@ mod tests {
     fn lorenzo2_3d_exact_on_per_axis_quadratics() {
         let (d1, d2) = (6, 7);
         let f = |i: usize, j: usize, k: usize| {
-            2.0 + 0.1 * (i * i) as f64 - 0.2 * (j * j) as f64 + 0.3 * (k * k) as f64
+            2.0 + 0.1 * (i * i) as f64 - 0.2 * (j * j) as f64
+                + 0.3 * (k * k) as f64
                 + 0.01 * (i * j * k) as f64
         };
         let mut recon = vec![0.0; 6 * d1 * d2];
@@ -882,8 +885,7 @@ mod tests {
             let p = model.predict(&[], shape, lin); // prefix unused
             assert!((p - x).abs() < 1e-9, "lin {lin}: {p} vs {x}");
         }
-        let back =
-            PredictorModel::from_tag_and_coeffs(model.tag(), &model.coeff_bytes()).unwrap();
+        let back = PredictorModel::from_tag_and_coeffs(model.tag(), &model.coeff_bytes()).unwrap();
         assert_eq!(back, model);
     }
 
@@ -1078,10 +1080,7 @@ mod tests {
         let recon: Vec<f64> = (0..24).map(|v| (v as f64).sqrt()).collect();
         // 1D
         for lin in 0..24 {
-            assert_eq!(
-                predict(&recon, Shape::D1(24), lin),
-                lorenzo_1d(&recon, lin)
-            );
+            assert_eq!(predict(&recon, Shape::D1(24), lin), lorenzo_1d(&recon, lin));
         }
         // 2D 4x6
         for lin in 0..24 {

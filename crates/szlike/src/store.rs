@@ -372,14 +372,7 @@ impl<T: Scalar> SzStore<T> {
         let stamp = shard.tick;
         let bytes = data.len() * T::BYTES;
         shard.bytes += bytes;
-        shard.map.insert(
-            b,
-            CacheEntry {
-                data,
-                bytes,
-                stamp,
-            },
-        );
+        shard.map.insert(b, CacheEntry { data, bytes, stamp });
         shard.lru.push_back((b, stamp));
         // Evict least-recently-used live entries until back inside the
         // budget, always retaining the entry just inserted (a block larger
@@ -389,10 +382,7 @@ impl<T: Scalar> SzStore<T> {
             let Some((victim, vstamp)) = shard.lru.pop_front() else {
                 break;
             };
-            let live = shard
-                .map
-                .get(&victim)
-                .is_some_and(|e| e.stamp == vstamp);
+            let live = shard.map.get(&victim).is_some_and(|e| e.stamp == vstamp);
             if live && victim != b {
                 let e = shard.map.remove(&victim).expect("live victim");
                 shard.bytes -= e.bytes;
@@ -648,7 +638,9 @@ mod tests {
         assert!(store
             .read_region(&Region::new(&[0..17, 0..16, 0..16]).unwrap())
             .is_err());
-        assert!(store.read_region(&Region::new(&[0..4, 0..4]).unwrap()).is_err());
+        assert!(store
+            .read_region(&Region::new(&[0..4, 0..4]).unwrap())
+            .is_err());
     }
 
     #[test]
@@ -665,8 +657,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for r in 0..6 {
                     let lo = (t + r) % 12;
-                    let region =
-                        Region::new(&[lo..lo + 9, 0..24, lo..lo + 12]).unwrap();
+                    let region = Region::new(&[lo..lo + 9, 0..24, lo..lo + 12]).unwrap();
                     let got = store.read_region(&region).unwrap();
                     let mut k = 0;
                     for i in lo..lo + 9 {

@@ -59,7 +59,10 @@ impl Basis {
     /// # Panics
     /// Panics unless `n` is a power of two ≥ 1.
     pub fn haar(n: usize) -> Self {
-        assert!(n.is_power_of_two() && n > 0, "Haar needs a power of two, got {n}");
+        assert!(
+            n.is_power_of_two() && n > 0,
+            "Haar needs a power of two, got {n}"
+        );
         let mut fwd = vec![1.0f64];
         let mut m = 1usize;
         let s = 1.0 / 2.0f64.sqrt();
@@ -218,8 +221,18 @@ mod tests {
         let expect = [
             [0.5, 0.5, 0.5, 0.5],
             [0.5, 0.5, -0.5, -0.5],
-            [std::f64::consts::FRAC_1_SQRT_2, -std::f64::consts::FRAC_1_SQRT_2, 0.0, 0.0],
-            [0.0, 0.0, std::f64::consts::FRAC_1_SQRT_2, -std::f64::consts::FRAC_1_SQRT_2],
+            [
+                std::f64::consts::FRAC_1_SQRT_2,
+                -std::f64::consts::FRAC_1_SQRT_2,
+                0.0,
+                0.0,
+            ],
+            [
+                0.0,
+                0.0,
+                std::f64::consts::FRAC_1_SQRT_2,
+                -std::f64::consts::FRAC_1_SQRT_2,
+            ],
         ];
         for r in 0..4 {
             for c in 0..4 {

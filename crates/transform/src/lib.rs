@@ -29,5 +29,5 @@ pub mod codec;
 pub mod embedded;
 
 pub use basis::BasisKind;
-pub use embedded::{embedded_compress, embedded_decompress, EcMode, EmbeddedConfig};
 pub use codec::{transform_compress, transform_decompress, TransformConfig};
+pub use embedded::{embedded_compress, embedded_decompress, EcMode, EmbeddedConfig};

@@ -19,11 +19,14 @@ fn main() {
     // One-pass sweep: with fixed-PSNR each rung costs exactly one
     // compression, so scanning the rate-distortion curve is cheap.
     println!("fixed-PSNR sweep over targets (one compression per rung):");
-    println!("{:>8} {:>10} {:>8} {:>12}", "target", "achieved", "ratio", "bits/sample");
+    println!(
+        "{:>8} {:>10} {:>8} {:>12}",
+        "target", "achieved", "ratio", "bits/sample"
+    );
     let mut chosen: Option<(f64, f64)> = None;
     for target in [30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0] {
-        let run = compress_fixed_psnr(&field, target, &FixedPsnrOptions::default())
-            .expect("compress");
+        let run =
+            compress_fixed_psnr(&field, target, &FixedPsnrOptions::default()).expect("compress");
         println!(
             "{target:>8.0} {:>10.2} {:>8.1} {:>12.3}",
             run.outcome.achieved_psnr,
@@ -36,9 +39,7 @@ fn main() {
         }
     }
     let (target, ratio) = chosen.expect("some rung clears 75 dB");
-    println!(
-        "\ncheapest rung clearing 75 dB: target {target} dB at ratio {ratio:.1}"
-    );
+    println!("\ncheapest rung clearing 75 dB: target {target} dB at ratio {ratio:.1}");
 
     // The pre-paper alternative for ONE quality point: bisection with a
     // full compress+decompress+measure per probe.

@@ -31,8 +31,7 @@ fn main() {
     );
 
     // Strategy 1: fixed-PSNR at 80 dB.
-    let run = compress_fixed_psnr(density, 80.0, &FixedPsnrOptions::default())
-        .expect("compress");
+    let run = compress_fixed_psnr(density, 80.0, &FixedPsnrOptions::default()).expect("compress");
     println!(
         "\n[fixed-PSNR 80 dB]    achieved {:.2} dB, ratio {:.1}",
         run.outcome.achieved_psnr,

@@ -46,7 +46,13 @@ fn main() {
     // Per-group targets: dynamics at 100 dB, moisture at 60 dB.
     let groups: [(&str, f64, &[&str]); 2] = [
         ("dynamics", 100.0, &["U", "V", "W", "P", "TC"]),
-        ("moisture", 60.0, &["QVAPOR", "QCLOUD", "QRAIN", "QICE", "QSNOW", "QGRAUP", "CLOUD", "PRECIP"]),
+        (
+            "moisture",
+            60.0,
+            &[
+                "QVAPOR", "QCLOUD", "QRAIN", "QICE", "QSNOW", "QGRAUP", "CLOUD", "PRECIP",
+            ],
+        ),
     ];
 
     let mut total_in = 0usize;
@@ -61,7 +67,9 @@ fn main() {
             total_out += run.bytes.len();
             println!(
                 "  {:<8} achieved {:>7.2} dB, ratio {:>6.1}",
-                name, run.outcome.achieved_psnr, run.rate.ratio()
+                name,
+                run.outcome.achieved_psnr,
+                run.rate.ratio()
             );
         }
     }

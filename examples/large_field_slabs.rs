@@ -19,7 +19,10 @@ fn main() {
     let mb = field.len() as f64 * 4.0 / (1024.0 * 1024.0);
     let target = 80.0;
     let threads = fixed_psnr::parallel::default_threads();
-    println!("volume: {} ({mb:.1} MiB), target {target} dB", field.shape());
+    println!(
+        "volume: {} ({mb:.1} MiB), target {target} dB",
+        field.shape()
+    );
 
     // Serial reference: the whole field as one SZ stream.
     let t0 = Instant::now();

@@ -17,7 +17,10 @@ fn main() {
 
     // The paper's three steps: target PSNR -> Eq. 8 bound -> plain SZ.
     let target = 80.0;
-    println!("derived eb_rel for {target} dB: {:.6e} (Eq. 8)", ebrel_for_psnr(target));
+    println!(
+        "derived eb_rel for {target} dB: {:.6e} (Eq. 8)",
+        ebrel_for_psnr(target)
+    );
 
     let run = compress_fixed_psnr(&field, target, &FixedPsnrOptions::default())
         .expect("compression succeeds on finite data");

@@ -31,7 +31,11 @@ fn main() {
         run.achieved_ratio,
         run.passes,
         run.eb_rel,
-        if run.within_tolerance { "" } else { ", outside tolerance" },
+        if run.within_tolerance {
+            ""
+        } else {
+            ", outside tolerance"
+        },
     );
 
     // What did the budget buy? Decode and measure.

@@ -39,24 +39,24 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-/// The paper's contribution: fixed-PSNR estimation, derivation, drivers.
-pub use fpsnr_core as core;
 /// Synthetic data sets analogous to the paper's evaluation corpus.
 pub use datagen as data;
-/// n-dimensional field substrate.
-pub use ndfield as field;
+/// The paper's contribution: fixed-PSNR estimation, derivation, drivers.
+pub use fpsnr_core as core;
 /// Rate–distortion metrics (paper definitions).
 pub use fpsnr_metrics as metrics;
 /// Pipeline observability (stage spans, counters, reports).
 pub use fpsnr_obs as obs;
 /// Parallel runtime.
 pub use fpsnr_parallel as parallel;
-/// Lossless coding toolkit.
-pub use losslesskit as lossless;
-/// SZ-style prediction-based compressor.
-pub use szlike as sz;
 /// Orthogonal-transform codec.
 pub use fpsnr_transform as transform;
+/// Lossless coding toolkit.
+pub use losslesskit as lossless;
+/// n-dimensional field substrate.
+pub use ndfield as field;
+/// SZ-style prediction-based compressor.
+pub use szlike as sz;
 
 /// One-stop imports for typical use.
 pub mod prelude {

@@ -122,7 +122,12 @@ fn print_table(label: &str, run: &SnapshotAllocation) {
         };
         println!(
             "{},{:.2},{:.2},{},{:.2},{},{}",
-            s.field, s.assigned_psnr, s.achieved_psnr, s.achieved_bytes, ratio, s.passes,
+            s.field,
+            s.assigned_psnr,
+            s.achieved_psnr,
+            s.achieved_bytes,
+            ratio,
+            s.passes,
             s.quarantined
         );
     }
@@ -410,7 +415,11 @@ fn degenerate_fields_quarantine_and_budget_is_resolved() {
     assert_eq!(run.summary.n_quarantined, 2);
     for r in &run.fields {
         if r.stat.quarantined {
-            assert!(r.bytes.is_some(), "{}: quarantined field not stored", r.stat.field);
+            assert!(
+                r.bytes.is_some(),
+                "{}: quarantined field not stored",
+                r.stat.field
+            );
             assert!(r.stat.assigned_psnr.is_nan());
             assert_eq!(r.stat.passes, 1);
         } else {
@@ -442,11 +451,7 @@ fn obs_counters_account_for_every_pass() {
     let report = fixed_psnr::obs::snapshot();
     let n = fields.len() as u64;
     let quarantined = run.summary.n_quarantined as u64;
-    let second: u64 = run
-        .fields
-        .iter()
-        .filter(|r| r.stat.passes == 2)
-        .count() as u64;
+    let second: u64 = run.fields.iter().filter(|r| r.stat.passes == 2).count() as u64;
     // The lock serializes every allocator test in this binary, so the
     // counters are exactly this run's.
     assert_eq!(report.counter("alloc.pilot_passes"), Some(n - quarantined));

@@ -347,9 +347,16 @@ fn giant_declared_headers_hit_limits_before_allocation() {
     let mut small = Vec::new();
     format::write_header(&mut small, "f32", Mode::Quantized, Shape::D1(1000)).unwrap();
     let sealed = seal(small);
-    let limits = DecodeLimits { max_output_bytes: 1 << 10 };
+    let limits = DecodeLimits {
+        max_output_bytes: 1 << 10,
+    };
     match decompress_with_limits::<f32>(&sealed, 1, &limits) {
-        Err(SzError::Decode(DecodeError::LimitExceeded { what, requested, limit, .. })) => {
+        Err(SzError::Decode(DecodeError::LimitExceeded {
+            what,
+            requested,
+            limit,
+            ..
+        })) => {
             assert_eq!(what, "output bytes");
             assert_eq!(requested, 4000);
             assert_eq!(limit, 1 << 10);
@@ -536,14 +543,25 @@ fn v5_hostile_predictor_tags_read_as_block_damage() {
             "strict decode accepted hostile tag {hostile}"
         );
         let (field, rep) = decompress_partial::<f32>(&dam).expect("partial decode");
-        assert_eq!(rep.damaged.len(), 1, "tag {hostile}: expected one damaged block");
+        assert_eq!(
+            rep.damaged.len(),
+            1,
+            "tag {hostile}: expected one damaged block"
+        );
         let d = &rep.damaged[0];
         assert_eq!(d.index, blocks.len() - 1);
         for (i, (&a, &b)) in pristine.as_slice().iter().zip(field.as_slice()).enumerate() {
             if d.sample_range.contains(&i) {
-                assert!(b.is_nan(), "tag {hostile}: damaged sample {i} not NaN-filled");
+                assert!(
+                    b.is_nan(),
+                    "tag {hostile}: damaged sample {i} not NaN-filled"
+                );
             } else {
-                assert_eq!(a.to_bits(), b.to_bits(), "tag {hostile}: sample {i} diverged");
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "tag {hostile}: sample {i} diverged"
+                );
             }
         }
         // The predictor-map inspector must also survive the hostile tag,

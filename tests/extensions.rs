@@ -67,7 +67,8 @@ fn all_entropy_and_escape_variants_respect_bounds_on_atm() {
     let variants = [
         base,
         base.with_entropy(EntropyCoder::Range),
-        base.with_escape(EscapeCoding::Truncated).with_quant_bins(32),
+        base.with_escape(EscapeCoding::Truncated)
+            .with_quant_bins(32),
         base.with_auto_intervals(true)
             .with_entropy(EntropyCoder::Range),
     ];
@@ -91,7 +92,11 @@ fn predictor_variants_roundtrip_on_all_datasets() {
         if nf.data.value_range() == 0.0 {
             continue;
         }
-        for kind in [PredictorKind::Lorenzo1, PredictorKind::Lorenzo2, PredictorKind::Auto] {
+        for kind in [
+            PredictorKind::Lorenzo1,
+            PredictorKind::Lorenzo2,
+            PredictorKind::Auto,
+        ] {
             let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-3)).with_predictor(kind);
             let bytes = sz::compress(&nf.data, &cfg).expect("compress");
             let back: Field<f32> = sz::decompress(&bytes).expect("decompress");
@@ -120,7 +125,10 @@ fn ssim_tracks_fixed_psnr_quality_ladder() {
         );
         last = s;
     }
-    assert!(last > 0.999, "90 dB should be structurally near-perfect: {last}");
+    assert!(
+        last > 0.999,
+        "90 dB should be structurally near-perfect: {last}"
+    );
 }
 
 #[test]

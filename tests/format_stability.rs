@@ -123,8 +123,8 @@ fn raw_file_io_interoperates_with_codec() {
 fn assert_decodes_within_tol(name: &str, bytes: &[u8], g: &Golden) {
     match &g.field {
         GoldenField::F32(f) => {
-            let back: Field<f32> = sz::decompress(bytes)
-                .unwrap_or_else(|e| panic!("{name}: decode failed: {e}"));
+            let back: Field<f32> =
+                sz::decompress(bytes).unwrap_or_else(|e| panic!("{name}: decode failed: {e}"));
             assert_eq!(back.shape(), f.shape(), "{name}: shape mismatch");
             for (idx, (a, b)) in f.as_slice().iter().zip(back.as_slice()).enumerate() {
                 let err = (a - b).abs() as f64;
@@ -136,8 +136,8 @@ fn assert_decodes_within_tol(name: &str, bytes: &[u8], g: &Golden) {
             }
         }
         GoldenField::F64(f) => {
-            let back: Field<f64> = sz::decompress(bytes)
-                .unwrap_or_else(|e| panic!("{name}: decode failed: {e}"));
+            let back: Field<f64> =
+                sz::decompress(bytes).unwrap_or_else(|e| panic!("{name}: decode failed: {e}"));
             assert_eq!(back.shape(), f.shape(), "{name}: shape mismatch");
             for (idx, (a, b)) in f.as_slice().iter().zip(back.as_slice()).enumerate() {
                 let err = (a - b).abs();
@@ -231,7 +231,8 @@ fn fixtures_are_byte_stable_at_every_simd_level() {
             let fresh = g.compress();
             simd::force(None);
             assert_eq!(
-                fresh, frozen,
+                fresh,
+                frozen,
                 "{}: encoder output at FPSNR_SIMD={} drifted from checked-in \
                  fixture — the dispatch levels no longer agree byte-for-byte",
                 g.name,
@@ -304,8 +305,8 @@ fn grid_fixtures_are_byte_stable() {
 #[test]
 fn grid_and_slab_layouts_decode_identically_per_block_math() {
     for g in grid_golden_set() {
-        let frozen = std::fs::read(current_dir().join(format!("{}.szr", g.name)))
-            .expect("grid fixture");
+        let frozen =
+            std::fs::read(current_dir().join(format!("{}.szr", g.name))).expect("grid fixture");
         let mut pos = 0;
         let header = format::read_header(&frozen, &mut pos).unwrap();
         assert_eq!(header.mode, format::Mode::Blocked, "{}", g.name);
@@ -388,8 +389,7 @@ fn mixed_predictor_fixtures_decode_identically_on_every_path() {
                         header.shape.dims().iter().map(|&d| 0..d).collect();
                     let region = szlike::Region::new(&whole).unwrap();
                     let got = store.read_region(&region).expect("region read");
-                    let got_bits: Vec<u64> =
-                        got.as_slice().iter().map(|v| v.to_bits()).collect();
+                    let got_bits: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
                     assert_eq!(strict, got_bits, "{}: region path diverged", g.name);
                 }
             }
@@ -402,8 +402,8 @@ fn mixed_predictor_fixtures_decode_identically_on_every_path() {
 /// choice on it, per-block selection has silently stopped doing its job.
 #[test]
 fn grain_fixture_carries_mixed_predictor_tags() {
-    let frozen = std::fs::read(current_dir().join("mixed_grain_f32_2d.szr"))
-        .expect("grain fixture");
+    let frozen =
+        std::fs::read(current_dir().join("mixed_grain_f32_2d.szr")).expect("grain fixture");
     let names = szlike::inspect_block_predictors(&frozen)
         .expect("predictor map parses")
         .expect("grain fixture is a v5 container");

@@ -340,14 +340,29 @@ fn f64_auto_roundtrips_and_paths_agree() {
     let (partial, report) = sz::decompress_partial::<f64>(&bytes).unwrap();
     assert!(report.is_clean());
     assert_eq!(
-        strict.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        partial.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        strict
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
+        partial
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
     );
     let store = SzStore::<f64>::open(&bytes).unwrap();
     let region = Region::new(&[0..24, 0..20, 0..16]).unwrap();
     let got = store.read_region(&region).unwrap();
     assert_eq!(
-        strict.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        got.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        strict
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
+        got.as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
     );
 }

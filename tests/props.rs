@@ -2,8 +2,8 @@
 
 use fixed_psnr::lossless::bakeoff::{self, Backend};
 use fixed_psnr::lossless::lz77::Effort;
-use fixed_psnr::lossless::{huffman::HuffmanCodec, lz_compress, lz_decompress};
 use fixed_psnr::lossless::{freq, mshuf, varint, BitReader, BitWriter};
+use fixed_psnr::lossless::{huffman::HuffmanCodec, lz_compress, lz_decompress};
 use fixed_psnr::prelude::*;
 use fixed_psnr::sz;
 use proptest::prelude::*;

@@ -194,7 +194,10 @@ fn concurrent_readers_under_cache_pressure_reconcile() {
     assert_eq!(s.block_requests(), s.hits + s.misses + s.waits);
     assert_eq!(s.blocks_decoded, s.misses, "a miss is exactly one decode");
     assert_eq!(s.regions, 8 * 12);
-    assert!(s.misses >= 36, "each of 36 blocks cold-misses at least once");
+    assert!(
+        s.misses >= 36,
+        "each of 36 blocks cold-misses at least once"
+    );
     assert!(s.evictions > 0, "16 KiB budget over a 72 KiB working set");
     assert!(s.cached_bytes as usize <= 16 * 1024 + 36 * 2048);
     // The obs registry mirrors the same events 1:1 (≥ because the global
@@ -277,7 +280,10 @@ fn warm_cache_repeats_decode_zero_blocks() {
 fn assert_warm_zero<T: ndfield::Scalar>(bytes: &[u8], shape: Shape, name: &str) {
     let store: SzStore<T> = SzStore::open(bytes).unwrap();
     let dims = shape.dims();
-    let axes: Vec<Range<usize>> = dims.iter().map(|&d| d / 4..(3 * d / 4).max(d / 4 + 1)).collect();
+    let axes: Vec<Range<usize>> = dims
+        .iter()
+        .map(|&d| d / 4..(3 * d / 4).max(d / 4 + 1))
+        .collect();
     let region = Region::new(&axes).unwrap();
     let first = store.read_region(&region).unwrap();
     let cold = store.stats().blocks_decoded;
@@ -287,7 +293,10 @@ fn assert_warm_zero<T: ndfield::Scalar>(bytes: &[u8], shape: Shape, name: &str) 
         assert_eq!(first.as_slice(), again.as_slice(), "{name}");
     }
     let s = store.stats();
-    assert_eq!(s.blocks_decoded, cold, "{name}: warm repeats decoded blocks");
+    assert_eq!(
+        s.blocks_decoded, cold,
+        "{name}: warm repeats decoded blocks"
+    );
     assert_eq!(s.misses, cold, "{name}");
     assert!(s.hits >= 3 * cold, "{name}: warm requests were not hits");
 }
@@ -356,10 +365,16 @@ fn assert_store_matches<T: ndfield::Scalar>(bytes: &[u8], expect_version: u8, na
 fn stores_reject_containers_without_directories() {
     let field = Field::from_fn_2d(16, 16, |i, j| (i + j) as f32 * 0.5);
     let mono = sz::compress(&field, &SzConfig::new(ErrorBound::Abs(1e-3))).unwrap();
-    let err = SzStore::<f32>::open(&mono).map(|_| ()).unwrap_err().to_string();
+    let err = SzStore::<f32>::open(&mono)
+        .map(|_| ())
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("blocked"), "{err}");
     // Frozen v1-era container: parses as blocked but has no directory.
     let v1 = std::fs::read(common::v1_dir().join("blocked_f32_2d.szr")).unwrap();
-    let err = SzStore::<f32>::open(&v1).map(|_| ()).unwrap_err().to_string();
+    let err = SzStore::<f32>::open(&v1)
+        .map(|_| ())
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("re-encode"), "{err}");
 }

@@ -54,8 +54,7 @@ fn auto_intervals_also_respects_bounds_on_all_datasets() {
             if vr == 0.0 {
                 continue;
             }
-            let cfg =
-                SzConfig::new(ErrorBound::ValueRangeRel(1e-3)).with_auto_intervals(true);
+            let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-3)).with_auto_intervals(true);
             roundtrip_bound(&nf.data, &cfg, 1e-3 * vr);
         }
     }
@@ -96,11 +95,7 @@ fn pointwise_rel_mode_bounds_every_sample_on_nyx() {
         let back: Field<f32> = sz::decompress(&bytes).expect("decompress");
         for (&x, &y) in nf.data.as_slice().iter().zip(back.as_slice()) {
             let tol = 1e-2 * x.abs() as f64 * (1.0 + 1e-5) + 1e-30;
-            assert!(
-                ((x - y).abs() as f64) <= tol,
-                "{}: x={x} y={y}",
-                nf.name
-            );
+            assert!(((x - y).abs() as f64) <= tol, "{}: x={x} y={y}", nf.name);
         }
     }
 }

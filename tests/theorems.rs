@@ -18,8 +18,7 @@ fn theorem1_quantizer_distortion_equals_data_distortion() {
                 continue;
             }
             let cfg = SzConfig::new(ErrorBound::ValueRangeRel(1e-3));
-            let (pe, pe_recon, _) =
-                sz::quantization_probe(&nf.data, &cfg).expect("probe");
+            let (pe, pe_recon, _) = sz::quantization_probe(&nf.data, &cfg).expect("probe");
             let quant_mse = mse_slices(&pe, &pe_recon);
             let bytes = sz::compress(&nf.data, &cfg).expect("compress");
             let back: Field<f32> = sz::decompress(&bytes).expect("decompress");
@@ -108,10 +107,7 @@ fn theorem1_holds_per_block_through_the_blocked_container() {
     for r0 in (0..rows).step_by(block_rows) {
         let nr = block_rows.min(rows - r0);
         let span = r0 * cols..(r0 + nr) * cols;
-        let slab = Field::from_vec(
-            Shape::D2(nr, cols),
-            field.as_slice()[span.clone()].to_vec(),
-        );
+        let slab = Field::from_vec(Shape::D2(nr, cols), field.as_slice()[span.clone()].to_vec());
         let (pe, pe_recon, _) = sz::quantization_probe(&slab, &probe_cfg).expect("probe");
         let quant_mse = mse_slices(&pe, &pe_recon);
         let data_mse = slab
