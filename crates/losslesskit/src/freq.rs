@@ -8,7 +8,8 @@
 //! layer: at `FPSNR_SIMD=off` ([`crate::simd::active`] <
 //! [`crate::simd::SimdLevel::Sse2`]) the single-table reference loops run
 //! instead. Counts are exact on either path, so the choice is invisible
-//! downstream.
+//! downstream. [`count_dense_lanes`] runs at every level: its lanes are
+//! what sizes the SZ code streams.
 
 use crate::simd::{self, SimdLevel};
 
